@@ -127,6 +127,58 @@ def project(cone: ConeSpec, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def projection_jacobian(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
+    """An element of the generalized Jacobian of the cone projection at z."""
+    m = cone.total_dim
+    P = np.zeros((m, m))
+    for block, sl in cone.slices():
+        zb = z[sl]
+        if block.kind == ZERO:
+            continue
+        if block.kind == ORTHANT:
+            diag = np.where(zb > 0.0, 1.0, np.where(zb < 0.0, 0.0, 0.5))
+            P[sl, sl] = np.diag(diag)
+        else:
+            zbar, zm = zb[:-1], zb[-1]
+            r = float(np.linalg.norm(zbar))
+            d = block.dim
+            if r <= zm:
+                P[sl, sl] = np.eye(d)
+            elif r <= -zm:
+                continue
+            else:
+                s = zbar / r
+                J = np.empty((d, d))
+                J[:-1, :-1] = 0.5 * ((1.0 + zm / r) * np.eye(d - 1) - (zm / r) * np.outer(s, s))
+                J[:-1, -1] = 0.5 * s
+                J[-1, :-1] = 0.5 * s
+                J[-1, -1] = 0.5
+                P[sl, sl] = J
+    return P
+
+
+def active_patterns(cone: ConeSpec):
+    """Every active set of a polyhedral cone, as ``(active, orthant_active, inactive)``.
+
+    Zero coordinates are always active; bit k of the pattern number makes
+    the k-th orthant coordinate active.
+    """
+    zero_idx: list[int] = []
+    orth_idx: list[int] = []
+    for block, sl in cone.slices():
+        (zero_idx if block.kind == ZERO else orth_idx).extend(range(sl.start, sl.stop))
+    for bits in range(2 ** len(orth_idx)):
+        orth_active = [j for k, j in enumerate(orth_idx) if bits >> k & 1]
+        active = zero_idx + orth_active
+        yield active, orth_active, [j for j in range(cone.total_dim) if j not in active]
+
+
+def pattern_signs_ok(lam: np.ndarray, y: np.ndarray, orth_active, inactive, slack: float) -> bool:
+    """Sign conditions of an active pattern: ``lam <= slack`` on the active
+    orthant coordinates and ``y >= -slack`` on the inactive ones."""
+    return not (any(lam[j] > slack for j in orth_active) or any(y[j] < -slack for j in inactive))
+
+
 def distance(cone: ConeSpec, y: np.ndarray) -> float:
     y = _check_dim(cone, y, "y")
     return float(np.linalg.norm(y - project(cone, y)))

@@ -37,7 +37,7 @@ from . import problem as problem_mod
 from .cones import CriticalCone
 from .polyhedra import BudgetExceeded, Polyhedron
 from .problem import KKTPair, MultiplierSetAnalysis, ProblemSpec
-from .subproblem import _projection_jacobian
+from .subproblem import damped_newton
 
 CALM = "Calm"
 INCONCLUSIVE = "Inconclusive"
@@ -143,14 +143,6 @@ def _point_data(p: ProblemSpec, z: KKTPair):
     return data, K
 
 
-def _null_basis(rows: np.ndarray, dim: int) -> np.ndarray:
-    if rows.size == 0:
-        return np.eye(dim)
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * max(float(s[0]) if s.size else 1.0, 1.0)))
-    return vt[rank:].T
-
-
 # ---------------------------------------------------------------------------
 # Second-order sufficient condition
 
@@ -182,7 +174,7 @@ def _ssoc_exact(Q, E, G, n) -> SSOCResult:
     for r in range(q + 1):
         for S in combinations(range(q), r):
             rows = np.vstack([E, G[list(S)]]) if (E.size or S) else np.zeros((0, n))
-            B = _null_basis(rows, n)
+            B = polyhedra.null_basis(rows, n)
             if B.shape[1] == 0:
                 continue
             R = B.T @ Q @ B
@@ -201,7 +193,7 @@ def _ssoc_exact(Q, E, G, n) -> SSOCResult:
 
 def _ssoc_sampled(Q, E, G, K: CriticalCone, J, n, cfg: DiagnosticsConfig) -> SSOCResult:
     rng = np.random.default_rng(cfg.seed)
-    B = _null_basis(E, n)
+    B = polyhedra.null_basis(E, n)
     if B.shape[1] == 0:
         return SSOCResult(math.inf, None, conclusive=True)  # only w = 0 is critical
     best = math.inf
@@ -307,29 +299,7 @@ def _noncrit_face_search(p, data, K: CriticalCone, Q, J, Hc):
                 a_eq=a_eq,
                 b_eq=b_eq,
             )
-            for j in range(n):
-                c = np.zeros(nvars)
-                c[j] = 1.0
-                rng = polyhedra.functional_range(poly, c)
-                if rng is None:
-                    break  # pattern infeasible
-                target = 0.0
-                if rng[1] > 1e-9:
-                    target = 1.0
-                elif rng[0] < -1e-9:
-                    target = -1.0
-                if target == 0.0:
-                    continue
-                fixed = Polyhedron.build(
-                    nvars,
-                    a_ub=poly.a_ub,
-                    b_ub=poly.b_ub,
-                    a_eq=np.vstack([poly.a_eq, c]),
-                    b_eq=np.concatenate([poly.b_eq, [target]]),
-                )
-                sol = polyhedra.feasible_point(fixed)
-                if sol is None:
-                    continue
+            for sol in polyhedra.nonzero_points(poly, range(n)):
                 w = sol[:n]
                 u = Hc @ (J @ w) + gen @ sol[n:]
                 if _verify_critical_witness(data, K, J, w, u):
@@ -381,7 +351,7 @@ def _noncrit_sampled(p, data, K: CriticalCone, Q, J, Hc, cfg: DiagnosticsConfig)
     """Safety net: random-direction sign-constrained least-squares solves."""
     rng = np.random.default_rng(cfg.seed + 1)
     E = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
-    B = _null_basis(E, p.n)
+    B = polyhedra.null_basis(E, p.n)
     if B.shape[1] == 0:
         return None
     for _ in range(cfg.sample_count):
@@ -426,7 +396,7 @@ def check_srcq(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     _gate(p, z, cfg.gate_tol)
     data, K = _point_data(p, z)
     J = data.jac_f
-    B = _null_basis(J.T, p.m)  # basis of ker J^T in R^m
+    B = polyhedra.null_basis(J.T, p.m)  # basis of ker J^T in R^m
     k = B.shape[1]
     if k == 0:
         return SRCQResult(True, "kernel of jac_f^T is trivial", None, True,
@@ -453,24 +423,7 @@ def check_srcq(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
         rows_ub[i, p_eq + i] = -1.0
     poly = Polyhedron.build(nvars, a_ub=rows_ub, b_ub=np.zeros(q), a_eq=a_eq, b_eq=np.zeros(p.m))
     try:
-        for j in range(k):
-            c = np.zeros(nvars)
-            c[p_eq + q + j] = 1.0
-            rng = polyhedra.functional_range(poly, c)
-            target = 0.0
-            if rng is not None and rng[1] > 1e-9:
-                target = 1.0
-            elif rng is not None and rng[0] < -1e-9:
-                target = -1.0
-            if target == 0.0:
-                continue
-            fixed = Polyhedron.build(
-                nvars, a_ub=poly.a_ub, b_ub=poly.b_ub,
-                a_eq=np.vstack([poly.a_eq, c]), b_eq=np.concatenate([poly.b_eq, [target]]),
-            )
-            sol = polyhedra.feasible_point(fixed)
-            if sol is None:
-                continue
+        for sol in polyhedra.nonzero_points(poly, range(p_eq + q, nvars)):
             u = B @ sol[p_eq + q :]
             if _verify_srcq_witness(K, J, u):
                 return SRCQResult(False, "nonzero polar direction in the kernel", u, True,
@@ -579,69 +532,35 @@ def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
 
 def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
     """Damped semismooth Newton on the tilt/shift perturbed KKT residual."""
-    x, lam = x0.copy(), lam0.copy()
 
-    def residual_vec(x, lam):
+    def residual(x, lam):
         obj = expr.eval2(p.objective, x)
         f_val, jac_f, _ = problem_mod.constraint_data(p, x)
         y = f_val + w
-        return (
-            np.concatenate([obj.gradient - v + jac_f.T @ lam, y - cones.project(p.cone, y + lam)]),
-            jac_f,
-            f_val,
+        return np.concatenate(
+            [obj.gradient - v + jac_f.T @ lam, y - cones.project(p.cone, y + lam)]
         )
 
-    F, jac_f, f_val = residual_vec(x, lam)
-    for _ in range(max_iters):
-        nrm = float(np.linalg.norm(F))
-        if nrm <= 1e-13:
-            break
+    def linearize(x, lam):
         data = problem_mod.lagrangian_data(p, KKTPair(x, lam))
-        P = _projection_jacobian(p.cone, f_val + w + lam)
-        n, m = p.n, p.m
-        Jm = np.zeros((n + m, n + m))
-        Jm[:n, :n] = data.hess_xx
-        Jm[:n, n:] = data.jac_f.T
-        Jm[n:, :n] = (np.eye(m) - P) @ data.jac_f
-        Jm[n:, n:] = -P
-        try:
-            step = np.linalg.solve(Jm, -F)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(Jm, -F, rcond=None)
-        alpha = 1.0
-        for _ in range(30):
-            x_new, lam_new = x + alpha * step[:n], lam + alpha * step[n:]
-            F_new, jac_f, f_val = residual_vec(x_new, lam_new)
-            if float(np.linalg.norm(F_new)) < (1.0 - 1e-4 * alpha) * nrm:
-                break
-            alpha *= 0.5
-        else:
-            return x, lam, nrm
-        x, lam, F = x_new, lam_new, F_new
-    return x, lam, float(np.linalg.norm(F))
+        return data.hess_xx, data.jac_f, data.f_val + w
+
+    return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters)
 
 
-def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w, tol=1e-10):
+def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
     """Active-pattern Newton solves of the perturbed KKT system (polyhedral)."""
-    zero_idx, orth_idx = [], []
-    for block, sl in p.cone.slices():
-        idx = list(range(sl.start, sl.stop))
-        (zero_idx if block.kind == cones.ZERO else orth_idx).extend(idx)
-    if len(orth_idx) > 10:
+    if sum(b.dim for b in p.cone.blocks if b.kind != cones.ZERO) > 10:
         return []
     out = []
-    for bits in range(2 ** len(orth_idx)):
-        active = list(zero_idx) + [j for k, j in enumerate(orth_idx) if bits >> k & 1]
+    for active, orth_active, inactive in cones.active_patterns(p.cone):
         sol = _pattern_newton(p, z, v, w, active)
         if sol is None:
             continue
         x, lam = sol
-        inactive = [j for j in range(p.m) if j not in active]
         f_val, _, _ = problem_mod.constraint_data(p, x)
         slack = 1e-9 * (1.0 + float(np.linalg.norm(lam)))
-        if any(lam[j] > slack for j in active if j in orth_idx):
-            continue
-        if any(f_val[j] + w[j] < -slack for j in inactive):
+        if not cones.pattern_signs_ok(lam, f_val + w, orth_active, inactive, slack):
             continue
         if _perturbed_residual(p, x, lam, v, w) <= 1e-8:
             out.append(KKTPair(x, lam))

@@ -239,6 +239,44 @@ def feasible_point(poly: Polyhedron, tol: float = _TOL, budget: int = 50_000):
     return T @ z + q
 
 
+def nonzero_points(poly: Polyhedron, coords):
+    """For each coordinate ``j`` in ``coords`` that is not identically zero on
+    the polyhedron, a point of it with ``x_j = +1`` (or ``-1``) when one is
+    found.
+
+    Stops at the first coordinate whose range comes back empty: an empty
+    polyhedron has no point to offer for any coordinate.
+    """
+    for j in coords:
+        c = np.zeros(poly.dim)
+        c[j] = 1.0
+        rng = functional_range(poly, c)
+        if rng is None:
+            return
+        if rng[1] > _TOL:
+            target = 1.0
+        elif rng[0] < -_TOL:
+            target = -1.0
+        else:
+            continue
+        pinned = Polyhedron.build(
+            poly.dim, a_ub=poly.a_ub, b_ub=poly.b_ub,
+            a_eq=np.vstack([poly.a_eq, c]), b_eq=np.concatenate([poly.b_eq, [target]]),
+        )
+        point = feasible_point(pinned)
+        if point is not None:
+            yield point
+
+
+def null_basis(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Orthonormal basis (columns) of ``{x in R^dim : rows @ x = 0}``."""
+    if rows.size == 0:
+        return np.eye(dim)
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    rank = int(np.sum(s > 1e-10 * max(float(s[0]) if s.size else 1.0, 1.0)))
+    return vt[rank:].T
+
+
 def _pick(lo: float, hi: float) -> float:
     if lo > hi:
         return 0.5 * (lo + hi)  # tolerance-level contradiction; split it

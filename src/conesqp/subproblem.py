@@ -19,7 +19,7 @@ engines are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,6 +71,10 @@ class SubproblemData:
     @property
     def m(self) -> int:
         return self.c.shape[0]
+
+    @property
+    def scale(self) -> float:
+        return 1.0 + float(np.linalg.norm(self.g)) + float(np.linalg.norm(self.c))
 
     def objective(self, d: np.ndarray) -> float:
         return float(self.g @ d + 0.5 * d @ self.H @ d)
@@ -124,18 +128,11 @@ def enumerate_kkt_points(data: SubproblemData, cfg: SolverConfig | None = None):
         raise ValueError("enumeration requires a purely polyhedral cone")
     if data.m > _ENUM_MAX_M:
         raise BudgetExceeded(f"enumeration limited to m <= {_ENUM_MAX_M}, got {data.m}")
-    zero_idx: list[int] = []
-    orth_idx: list[int] = []
-    for block, sl in data.cone.slices():
-        idx = list(range(sl.start, sl.stop))
-        (zero_idx if block.kind == cones.ZERO else orth_idx).extend(idx)
     n, m = data.n, data.m
-    scale = 1.0 + float(np.linalg.norm(data.g)) + float(np.linalg.norm(data.c))
+    scale = data.scale
     slack = cfg.sign_slack * scale
     found: list[tuple[np.ndarray, np.ndarray]] = []
-    for bits in range(2 ** len(orth_idx)):
-        active = list(zero_idx) + [j for k, j in enumerate(orth_idx) if bits >> k & 1]
-        inactive = [j for j in range(m) if j not in active]
+    for active, orth_active, inactive in cones.active_patterns(data.cone):
         na = len(active)
         M = np.zeros((n + na, n + na))
         M[:n, :n] = data.H
@@ -143,44 +140,32 @@ def enumerate_kkt_points(data: SubproblemData, cfg: SolverConfig | None = None):
             M[:n, n:] = data.A[active].T
             M[n:, :n] = data.A[active]
         rhs = np.concatenate([-data.g, -data.c[active]])
-        sol, res, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
+        sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
         if float(np.linalg.norm(M @ sol - rhs)) > 1e-9 * scale:
             continue  # pattern system inconsistent
-        candidates = []
         if rank < n + na:
-            cand = _resolve_degenerate_pattern(data, M, rhs, active, inactive, slack)
-            if cand is not None:
-                candidates.append(cand)
-        else:
-            candidates.append(sol)
-        for sol in candidates:
-            d = sol[:n]
-            lam = np.zeros(m)
-            lam[active] = sol[n:]
-            y = data.c + data.A @ d
-            if any(lam[j] > slack for j in active if j in orth_idx):
+            sol = _resolve_degenerate_pattern(data, M, sol, orth_active, inactive, slack)
+            if sol is None:
                 continue
-            if any(y[j] < -slack for j in inactive):
-                continue
+        d = sol[:n]
+        lam = np.zeros(m)
+        lam[active] = sol[n:]
+        if cones.pattern_signs_ok(lam, data.c + data.A @ d, orth_active, inactive, slack):
             found.append((d, lam))
     return _dedupe(found, tol=1e-9 * scale)
 
 
-def _resolve_degenerate_pattern(data, M, rhs, active, inactive, slack):
-    """Pattern system is singular: pick a sign-feasible point of its affine
-    solution set (if any) via the polyhedral engine."""
-    n, m = data.n, data.m
-    sol0, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    _, s, vt = np.linalg.svd(M)
-    null = vt[np.sum(s > 1e-10 * max(s[0], 1.0)):].T  # (n+na, k)
-    if null.shape[1] == 0:
-        return sol0
+def _resolve_degenerate_pattern(data, M, sol0, orth_active, inactive, slack):
+    """Pattern system ``M sol = rhs`` is singular, with least-squares solution
+    ``sol0``: pick a sign-feasible point ``sol0 + null t`` of its solution set
+    (if any) via the polyhedral engine."""
+    n = data.n
+    null = polyhedra.null_basis(M, M.shape[1])  # (n+na, k), k >= 1 below the lstsq rank
     rows = []
     rhs_ub = []
-    orth_active = [i for i, j in enumerate(active) if j not in _zero_set(data)]
-    for i in orth_active:  # lam_active <= 0
-        rows.append(null[n + i])
-        rhs_ub.append(slack - sol0[n + i])
+    for i in range(M.shape[0] - len(orth_active), M.shape[0]):  # orthant lam_active <= 0
+        rows.append(null[i])
+        rhs_ub.append(slack - sol0[i])
     for j in inactive:  # (c + A d)_j >= 0
         row = -(data.A[j] @ null[:n])
         rows.append(row)
@@ -190,14 +175,6 @@ def _resolve_degenerate_pattern(data, M, rhs, active, inactive, slack):
     if t is None:
         return None
     return sol0 + null @ t
-
-
-def _zero_set(data: SubproblemData) -> set[int]:
-    out: set[int] = set()
-    for block, sl in data.cone.slices():
-        if block.kind == cones.ZERO:
-            out.update(range(sl.start, sl.stop))
-    return out
 
 
 def _dedupe(points, tol):
@@ -213,57 +190,28 @@ def _dedupe(points, tol):
 # Semismooth Newton engine
 
 
-def _projection_jacobian(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
-    """An element of the generalized Jacobian of the cone projection at z."""
-    m = cone.total_dim
-    P = np.zeros((m, m))
-    for block, sl in cone.slices():
-        zb = z[sl]
-        if block.kind == cones.ZERO:
-            continue
-        if block.kind == cones.ORTHANT:
-            diag = np.where(zb > 0.0, 1.0, np.where(zb < 0.0, 0.0, 0.5))
-            P[sl, sl] = np.diag(diag)
-        else:
-            zbar, zm = zb[:-1], zb[-1]
-            r = float(np.linalg.norm(zbar))
-            d = block.dim
-            if r <= zm:
-                P[sl, sl] = np.eye(d)
-            elif r <= -zm:
-                continue
-            else:
-                s = zbar / r
-                J = np.empty((d, d))
-                J[:-1, :-1] = 0.5 * ((1.0 + zm / r) * np.eye(d - 1) - (zm / r) * np.outer(s, s))
-                J[:-1, -1] = 0.5 * s
-                J[-1, :-1] = 0.5 * s
-                J[-1, -1] = 0.5
-                P[sl, sl] = J
-    return P
+def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max_iters: int):
+    """Damped semismooth Newton on a projection residual of a cone-constrained KKT system.
 
-
-def _newton_from(data: SubproblemData, d0, lam0, cfg: SolverConfig):
-    n, m = data.n, data.m
-    d, lam = d0.copy(), lam0.copy()
-
-    def residual_vec(d, lam):
-        y = data.c + data.A @ d
-        return np.concatenate(
-            [data.g + data.H @ d + data.A.T @ lam, y - cones.project(data.cone, y + lam)]
-        )
-
-    F = residual_vec(d, lam)
-    for _ in range(cfg.newton_max_iters):
+    ``residual(x, lam)`` is the stacked vector ``(stationarity, y - proj(y + lam))``
+    and ``linearize(x, lam)`` returns ``(H, A, y)``: the Lagrangian Hessian,
+    the constraint Jacobian and the constraint value ``y``.  Each step
+    halves (at most 30 times) until the Armijo decrease holds; when it never
+    does the run stops where it stands.  Returns ``(x, lam, ||F||)``.
+    """
+    n, m = x0.shape[0], cone.total_dim
+    x, lam = x0.copy(), lam0.copy()
+    F = residual(x, lam)
+    for _ in range(max_iters):
         nrm = float(np.linalg.norm(F))
-        if nrm <= 1e-13 * (1.0 + float(np.linalg.norm(data.g))):
+        if nrm <= tol:
             break
-        z = data.c + data.A @ d + lam
-        P = _projection_jacobian(data.cone, z)
+        H, A, y = linearize(x, lam)
+        P = cones.projection_jacobian(cone, y + lam)
         J = np.zeros((n + m, n + m))
-        J[:n, :n] = data.H
-        J[:n, n:] = data.A.T
-        J[n:, :n] = (np.eye(m) - P) @ data.A
+        J[:n, :n] = H
+        J[:n, n:] = A.T
+        J[n:, :n] = (np.eye(m) - P) @ A
         J[n:, n:] = -P
         try:
             step = np.linalg.solve(J, -F)
@@ -271,15 +219,29 @@ def _newton_from(data: SubproblemData, d0, lam0, cfg: SolverConfig):
             step, *_ = np.linalg.lstsq(J, -F, rcond=None)
         alpha = 1.0
         for _ in range(30):
-            d_new, lam_new = d + alpha * step[:n], lam + alpha * step[n:]
-            F_new = residual_vec(d_new, lam_new)
+            x_new, lam_new = x + alpha * step[:n], lam + alpha * step[n:]
+            F_new = residual(x_new, lam_new)
             if float(np.linalg.norm(F_new)) < (1.0 - 1e-4 * alpha) * nrm:
                 break
             alpha *= 0.5
         else:
-            return d, lam, nrm  # stalled
-        d, lam, F = d_new, lam_new, F_new
-    return d, lam, float(np.linalg.norm(F))
+            return x, lam, nrm  # stalled
+        x, lam, F = x_new, lam_new, F_new
+    return x, lam, float(np.linalg.norm(F))
+
+
+def _newton_from(data: SubproblemData, d0, lam0, max_iters: int):
+    def residual(d, lam):
+        y = data.c + data.A @ d
+        return np.concatenate(
+            [data.g + data.H @ d + data.A.T @ lam, y - cones.project(data.cone, y + lam)]
+        )
+
+    def linearize(d, lam):
+        return data.H, data.A, data.c + data.A @ d
+
+    tol = 1e-13 * (1.0 + float(np.linalg.norm(data.g)))
+    return damped_newton(data.cone, residual, linearize, d0, lam0, tol, max_iters)
 
 
 def semismooth_newton_solve(data: SubproblemData, hint, cfg: SolverConfig):
@@ -288,7 +250,7 @@ def semismooth_newton_solve(data: SubproblemData, hint, cfg: SolverConfig):
     rng = np.random.default_rng(cfg.seed)
     hint_d, hint_lam = hint
     starts = [(hint_d.copy(), hint_lam.copy()), (np.zeros(n), np.zeros(m))]
-    scale = 1.0 + float(np.linalg.norm(data.g)) + float(np.linalg.norm(data.c))
+    scale = data.scale
     while len(starts) < cfg.n_starts:
         spread = scale * 10 ** rng.uniform(-1.0, 1.0)
         starts.append(
@@ -297,7 +259,7 @@ def semismooth_newton_solve(data: SubproblemData, hint, cfg: SolverConfig):
     tol = cfg.tol * scale
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     for d0, lam0 in starts:
-        d, lam, res = _newton_from(data, d0, lam0, cfg)
+        d, lam, res = _newton_from(data, d0, lam0, cfg.newton_max_iters)
         if res <= tol:
             solutions.append((d, lam))
             if np.linalg.norm(np.concatenate([d - hint_d, lam - hint_lam])) <= tol * 10:
@@ -323,7 +285,7 @@ def splitting_solve(data: SubproblemData, cfg: SolverConfig):
         return None
     s = cones.project(data.cone, data.c)
     u = np.zeros(m)
-    scale = 1.0 + float(np.linalg.norm(data.g)) + float(np.linalg.norm(data.c))
+    scale = data.scale
     d = np.zeros(n)
     for _ in range(cfg.admm_max_iters):
         rhs = -data.g - rho * data.A.T @ (data.c - s + u)
@@ -338,7 +300,7 @@ def splitting_solve(data: SubproblemData, cfg: SolverConfig):
             break
     lam = rho * u
     # polish: a few Newton steps to machine-precision KKT residual
-    d, lam, _ = _newton_from(data, d, lam, replace(cfg, newton_max_iters=25))
+    d, lam, _ = _newton_from(data, d, lam, 25)
     return d, lam
 
 
@@ -346,26 +308,20 @@ def splitting_solve(data: SubproblemData, cfg: SolverConfig):
 # Status classification helpers (polyhedral feasibility / descent rays)
 
 
+def _cone_rows(data: SubproblemData):
+    """Rows for ``c + A d`` in a polyhedral cone: ``A_zero`` of the zero blocks
+    (equalities), ``-A_orthant`` of the orthant blocks (``<=`` rows), and the
+    zero-block mask."""
+    zero = np.concatenate([np.full(b.dim, b.kind == cones.ZERO) for b in data.cone.blocks])
+    return data.A[zero], -data.A[~zero], zero
+
+
 def _linearized_feasible(data: SubproblemData) -> bool | None:
     """Feasibility of {d : c + A d in cone}; None when not decidable exactly."""
     if not data.cone.is_polyhedral:
         return None
-    rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
-    for block, sl in data.cone.slices():
-        for j in range(sl.start, sl.stop):
-            if block.kind == cones.ZERO:
-                rows_eq.append(data.A[j])
-                rhs_eq.append(-data.c[j])
-            else:
-                rows_ub.append(-data.A[j])
-                rhs_ub.append(data.c[j])
-    poly = Polyhedron.build(
-        data.n,
-        a_ub=np.array(rows_ub).reshape(-1, data.n),
-        b_ub=np.array(rhs_ub),
-        a_eq=np.array(rows_eq).reshape(-1, data.n),
-        b_eq=np.array(rhs_eq),
-    )
+    a_eq, a_ub, zero = _cone_rows(data)
+    poly = Polyhedron.build(data.n, a_ub=a_ub, b_ub=data.c[~zero], a_eq=a_eq, b_eq=-data.c[zero])
     try:
         return polyhedra.is_feasible(poly)
     except BudgetExceeded:
@@ -381,20 +337,13 @@ def _descent_ray(data: SubproblemData, seed: int = 0) -> np.ndarray | None:
     """
     if not data.cone.is_polyhedral:
         return _sampled_descent_ray(data, seed)
-    rows_ub, rows_eq = [], []
-    for block, sl in data.cone.slices():
-        for j in range(sl.start, sl.stop):
-            if block.kind == cones.ZERO:
-                rows_eq.append(data.A[j])
-            else:
-                rows_ub.append(-data.A[j])
-    rows_ub.append(data.g)  # g.d <= -1
+    a_eq, a_ub, _ = _cone_rows(data)
     poly = Polyhedron.build(
         data.n,
-        a_ub=np.array(rows_ub).reshape(-1, data.n),
-        b_ub=np.concatenate([np.zeros(len(rows_ub) - 1), [-1.0]]),
-        a_eq=np.array(rows_eq).reshape(-1, data.n),
-        b_eq=np.zeros(len(rows_eq)),
+        a_ub=np.vstack([a_ub, data.g]),  # g.d <= -1
+        b_ub=np.append(np.zeros(a_ub.shape[0]), -1.0),
+        a_eq=a_eq,
+        b_eq=np.zeros(a_eq.shape[0]),
     )
     try:
         ray = polyhedra.feasible_point(poly)
@@ -446,7 +395,6 @@ def solve_subproblem(
     if hint is None:
         hint = (np.zeros(data.n), np.zeros(data.m))
     hint = (np.asarray(hint[0], float), np.asarray(hint[1], float))
-    scale = 1.0 + float(np.linalg.norm(data.g)) + float(np.linalg.norm(data.c))
 
     engine = cfg.engine
     if engine is None:
@@ -469,30 +417,32 @@ def solve_subproblem(
         return SubproblemSolution(NO_KKT_POINT, engine=ENGINE_ENUMERATION)
 
     if engine == ENGINE_SPLITTING:
-        out = splitting_solve(data, cfg)
-        if out is not None:
-            d, lam = out
-            res = kkt_residual(data, d, lam)
-            if res <= cfg.tol * scale:
-                return SubproblemSolution(KKT_POINT, d, lam, res, ENGINE_SPLITTING)
-        return SubproblemSolution(ITER_LIMIT, engine=ENGINE_SPLITTING)
+        solution = _splitting_point(data, cfg)
+        return solution or SubproblemSolution(ITER_LIMIT, engine=ENGINE_SPLITTING)
 
     # general path: semismooth Newton first, splitting as psd fallback
     points = semismooth_newton_solve(data, hint, cfg)
     if points:
         d, lam = _nearest(points, hint)
         return SubproblemSolution(KKT_POINT, d, lam, kkt_residual(data, d, lam), ENGINE_NEWTON)
-    out = splitting_solve(data, cfg)
-    if out is not None:
-        d, lam = out
-        res = kkt_residual(data, d, lam)
-        if res <= cfg.tol * scale:
-            return SubproblemSolution(KKT_POINT, d, lam, res, ENGINE_SPLITTING)
+    fallback = _splitting_point(data, cfg)
+    if fallback is not None:
+        return fallback
     if _linearized_feasible(data) is False:
         return SubproblemSolution(INFEASIBLE, engine=ENGINE_NEWTON)
     if _descent_ray(data, seed=cfg.seed) is not None:
         return SubproblemSolution(UNBOUNDED, engine=ENGINE_NEWTON)
     return SubproblemSolution(ITER_LIMIT, engine=ENGINE_NEWTON)
+
+
+def _splitting_point(data: SubproblemData, cfg: SolverConfig) -> SubproblemSolution | None:
+    out = splitting_solve(data, cfg)
+    if out is not None:
+        d, lam = out
+        res = kkt_residual(data, d, lam)
+        if res <= cfg.tol * data.scale:
+            return SubproblemSolution(KKT_POINT, d, lam, res, ENGINE_SPLITTING)
+    return None
 
 
 def _nearest(points, hint):
