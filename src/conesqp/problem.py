@@ -216,8 +216,3 @@ def multiplier_set_analysis(
     except BudgetExceeded as exc:
         return MultiplierSetAnalysis("inconclusive", True, False, None, None, str(exc))
     return MultiplierSetAnalysis("exact", True, unique, B @ v0, tuple(box), "")
-
-
-def multiplier_sample(p: ProblemSpec, x: np.ndarray, tol: float = STATIONARITY_TOL):
-    analysis = multiplier_set_analysis(p, x, tol)
-    return analysis.sample
