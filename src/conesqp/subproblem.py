@@ -420,14 +420,16 @@ def solve_subproblem(
         solution = _splitting_point(data, cfg)
         return solution or SubproblemSolution(ITER_LIMIT, engine=ENGINE_SPLITTING)
 
-    # general path: semismooth Newton first, splitting as psd fallback
+    # general path: semismooth Newton; only the automatic choice falls back to
+    # splitting (psd Hessians), a forced Newton run reports its own failure
     points = semismooth_newton_solve(data, hint, cfg)
     if points:
         d, lam = _nearest(points, hint)
         return SubproblemSolution(KKT_POINT, d, lam, kkt_residual(data, d, lam), ENGINE_NEWTON)
-    fallback = _splitting_point(data, cfg)
-    if fallback is not None:
-        return fallback
+    if cfg.engine is None:
+        fallback = _splitting_point(data, cfg)
+        if fallback is not None:
+            return fallback
     if _linearized_feasible(data) is False:
         return SubproblemSolution(INFEASIBLE, engine=ENGINE_NEWTON)
     if _descent_ray(data, seed=cfg.seed) is not None:

@@ -7,6 +7,7 @@ from conesqp.subproblem import (
     ENGINE_NEWTON,
     ENGINE_SPLITTING,
     INFEASIBLE,
+    ITER_LIMIT,
     KKT_POINT,
     NO_KKT_POINT,
     UNBOUNDED,
@@ -124,6 +125,19 @@ class TestSolveStatuses:
         assert np.allclose(data.c[:2] + sol.d, [1.0, 0.0], atol=1e-9)
         assert np.allclose(sol.lam, [1.0, 0.0, -1.0], atol=1e-9)
         assert sol.residual <= 1e-9
+
+    def test_forced_newton_reports_its_own_failure(self):
+        # one Newton step from each of two starts misses this boundary solution;
+        # only the automatic engine choice may fall back to splitting
+        data = SubproblemData(np.eye(3), np.array([1.0, 2.0, -1.0]), np.eye(3), np.zeros(3),
+                              cones.second_order(3))
+        hint = (50.0 * np.ones(3), 50.0 * np.ones(3))
+        forced = solve_subproblem(
+            data, hint, SolverConfig(engine=ENGINE_NEWTON, n_starts=2, newton_max_iters=1)
+        )
+        assert forced.status == ITER_LIMIT and forced.engine == ENGINE_NEWTON
+        auto = solve_subproblem(data, hint, SolverConfig(n_starts=2, newton_max_iters=1))
+        assert auto.status == KKT_POINT and auto.engine == ENGINE_SPLITTING
 
 
 class TestEngineAgreement:
