@@ -160,7 +160,8 @@ def _resolve_degenerate_pattern(data, M, sol0, orth_active, inactive, slack):
     ``sol0``: pick a sign-feasible point ``sol0 + null t`` of its solution set
     (if any) via the polyhedral engine."""
     n = data.n
-    null = polyhedra.null_basis(M, M.shape[1])  # (n+na, k), k >= 1 below the lstsq rank
+    # k >= 1: the SVD rank cut lies far above the lstsq cut that sent us here
+    null = polyhedra.null_basis(M, M.shape[1])  # (n+na, k)
     rows = []
     rhs_ub = []
     for i in range(M.shape[0] - len(orth_active), M.shape[0]):  # orthant lam_active <= 0
