@@ -41,6 +41,8 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return v if np.isfinite(v) else ("inf" if v > 0 else "-inf")
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool is a subclass of int
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, dict):

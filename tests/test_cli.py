@@ -95,12 +95,17 @@ class TestSolveCommand:
 
 
 class TestDiagnoseCommand:
-    def test_minimizer_report(self, capsys):
-        assert run(["diagnose", "ex55", "--x", "2", "--lam", "0", "--no-probe"]) == 0
+    def test_minimizer_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert run(["diagnose", "ex55", "--x", "2", "--lam", "0", "--no-probe",
+                    "--json", str(path)]) == 0
         out = capsys.readouterr().out
         assert "second-order sufficiency: holds" in out
         assert "strict Robinson qualification: holds" in out
         assert "noncritical" in out
+        doc = json.loads(path.read_text())
+        assert doc["report"]["ssoc"]["holds"] is True
+        assert doc["report"]["lambda_unique"] is True
 
     def test_origin_report(self, capsys):
         assert run(["diagnose", "ex55", "--x", "0", "--lam", "0", "--no-probe"]) == 0
