@@ -522,10 +522,10 @@ def check_multiplier_calmness(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig
 
 
 def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
-    obj = expr.eval2(p.objective, x)
-    f_val, jac_f, _ = problem_mod.constraint_data(p, x)
+    _, grad = expr.eval1(p.objective, x)
+    f_val, jac_f = problem_mod.constraint_values(p, x)
     y = f_val + w
-    r1 = obj.gradient - v + jac_f.T @ lam
+    r1 = grad - v + jac_f.T @ lam
     r2 = y - cones.project(p.cone, y + lam)
     return float(np.linalg.norm(r1)) + float(np.linalg.norm(r2)) + cones.distance(p.cone, y)
 
@@ -534,11 +534,11 @@ def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
     """Damped semismooth Newton on the tilt/shift perturbed KKT residual."""
 
     def residual(x, lam):
-        obj = expr.eval2(p.objective, x)
-        f_val, jac_f, _ = problem_mod.constraint_data(p, x)
+        _, grad = expr.eval1(p.objective, x)
+        f_val, jac_f = problem_mod.constraint_values(p, x)
         y = f_val + w
         return np.concatenate(
-            [obj.gradient - v + jac_f.T @ lam, y - cones.project(p.cone, y + lam)]
+            [grad - v + jac_f.T @ lam, y - cones.project(p.cone, y + lam)]
         )
 
     def linearize(x, lam):
@@ -558,7 +558,7 @@ def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
         if sol is None:
             continue
         x, lam = sol
-        f_val, _, _ = problem_mod.constraint_data(p, x)
+        f_val, _ = problem_mod.constraint_values(p, x)
         slack = 1e-9 * (1.0 + float(np.linalg.norm(lam)))
         if not cones.pattern_signs_ok(lam, f_val + w, orth_active, inactive, slack):
             continue

@@ -6,7 +6,8 @@ Precedence is ``^`` > unary ``-`` > ``* /`` > ``+ -`` with left
 associativity for the binary arithmetic operators.  ``eval2`` returns the
 value together with the exact gradient and dense Hessian, which is all the
 smoothness the rest of the package needs (objectives and constraints are
-assumed twice differentiable at the points where they are evaluated).
+assumed twice differentiable at the points where they are evaluated);
+``eval1`` skips the Hessian for callers that only need the gradient.
 """
 
 from __future__ import annotations
@@ -281,57 +282,70 @@ def eval2(ast: ExprAST, x: np.ndarray) -> SecondOrderValue:
     Exact (up to rounding) for polynomial input; division requires a
     nonzero denominator at the evaluation point.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ast.n,):
-        raise ValueError(f"point has shape {x.shape}, expected ({ast.n},)")
-    v, g, h = _eval(ast.root, x, ast.n)
+    v, g, h = _eval(ast.root, _point(ast, x), ast.n, True)
     h = 0.5 * (h + h.T)
     return SecondOrderValue(v, g, h)
 
 
-def _eval(node: Node, x: np.ndarray, n: int):
+def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Value and gradient of ``ast`` at ``x``, bit for bit those of ``eval2``."""
+    v, g, _ = _eval(ast.root, _point(ast, x), ast.n, False)
+    return v, g
+
+
+def _point(ast: ExprAST, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (ast.n,):
+        raise ValueError(f"point has shape {x.shape}, expected ({ast.n},)")
+    return x
+
+
+def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
+    """``(value, gradient, Hessian)`` of ``node``; the Hessian is None unless ``hess``."""
     if isinstance(node, Const):
-        return node.value, np.zeros(n), np.zeros((n, n))
+        return node.value, np.zeros(n), np.zeros((n, n)) if hess else None
     if isinstance(node, Var):
         g = np.zeros(n)
         g[node.index] = 1.0
-        return x[node.index], g, np.zeros((n, n))
+        return x[node.index], g, np.zeros((n, n)) if hess else None
     if isinstance(node, Neg):
-        v, g, h = _eval(node.operand, x, n)
-        return -v, -g, -h
+        v, g, h = _eval(node.operand, x, n, hess)
+        return -v, -g, -h if hess else None
     if isinstance(node, (Add, Sub)):
-        va, ga, ha = _eval(node.left, x, n)
-        vb, gb, hb = _eval(node.right, x, n)
+        va, ga, ha = _eval(node.left, x, n, hess)
+        vb, gb, hb = _eval(node.right, x, n, hess)
         if isinstance(node, Add):
-            return va + vb, ga + gb, ha + hb
-        return va - vb, ga - gb, ha - hb
+            return va + vb, ga + gb, ha + hb if hess else None
+        return va - vb, ga - gb, ha - hb if hess else None
     if isinstance(node, Mul):
-        va, ga, ha = _eval(node.left, x, n)
-        vb, gb, hb = _eval(node.right, x, n)
+        va, ga, ha = _eval(node.left, x, n, hess)
+        vb, gb, hb = _eval(node.right, x, n, hess)
         return (
             va * vb,
             ga * vb + va * gb,
-            ha * vb + va * hb + np.outer(ga, gb) + np.outer(gb, ga),
+            ha * vb + va * hb + np.outer(ga, gb) + np.outer(gb, ga) if hess else None,
         )
     if isinstance(node, Div):
-        va, ga, ha = _eval(node.left, x, n)
-        vb, gb, hb = _eval(node.right, x, n)
+        va, ga, ha = _eval(node.left, x, n, hess)
+        vb, gb, hb = _eval(node.right, x, n, hess)
         if abs(vb) < _DIV_FLOOR:
             raise EvalError("division by zero")
         q = va / vb
         gq = (ga - q * gb) / vb
-        hq = (ha - q * hb - np.outer(gq, gb) - np.outer(gb, gq)) / vb
+        hq = (ha - q * hb - np.outer(gq, gb) - np.outer(gb, gq)) / vb if hess else None
         return q, gq, hq
     if isinstance(node, Pow):
-        vb, gb, hb = _eval(node.base, x, n)
+        vb, gb, hb = _eval(node.base, x, n, hess)
         k = node.exponent
         if k == 0:
-            return 1.0, np.zeros(n), np.zeros((n, n))
+            return 1.0, np.zeros(n), np.zeros((n, n)) if hess else None
         if k == 1:
             return vb, gb, hb
         vk1 = vb ** (k - 1)
         v = vk1 * vb
         g = k * vk1 * gb
+        if not hess:
+            return v, g, None
         h = k * vk1 * hb + k * (k - 1) * vb ** (k - 2) * np.outer(gb, gb)
         return v, g, h
     raise TypeError(node)  # pragma: no cover

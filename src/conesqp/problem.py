@@ -93,6 +93,15 @@ def constraint_data(p: ProblemSpec, x: np.ndarray):
     return vals, jac, hessians
 
 
+def constraint_values(p: ProblemSpec, x: np.ndarray):
+    """Values and Jacobian (m x n) of f at x, without the Hessians."""
+    vals = np.empty(p.m)
+    jac = np.empty((p.m, p.n))
+    for i, c in enumerate(p.constraints):
+        vals[i], jac[i] = expr.eval1(c, x)
+    return vals, jac
+
+
 def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
     obj = expr.eval2(p.objective, z.x)
     f_val, jac_f, f_hess = constraint_data(p, z.x)
@@ -181,25 +190,25 @@ def multiplier_set_analysis(
     facially-parametrized normal cone.
     """
     x = np.asarray(x, float)
-    obj = expr.eval2(p.objective, x)
-    f_val, jac_f, _ = constraint_data(p, x)
+    _, grad = expr.eval1(p.objective, x)
+    f_val, jac_f = constraint_values(p, x)
     B, neg_idx, reason = _multiplier_parametrization(p, f_val, tol)
     if B is None:
         return MultiplierSetAnalysis("inconclusive", False, False, None, None, reason)
     k = B.shape[1]
     if k == 0:
         # no active structure anywhere: the only candidate multiplier is zero
-        if float(np.linalg.norm(obj.gradient)) <= tol * (1.0 + float(np.linalg.norm(obj.gradient))):
+        if float(np.linalg.norm(grad)) <= tol * (1.0 + float(np.linalg.norm(grad))):
             box = tuple((0.0, 0.0) for _ in range(p.m))
             return MultiplierSetAnalysis("exact", True, True, np.zeros(p.m), box, "")
         return MultiplierSetAnalysis("exact", False, False, None, None, "no multiplier exists")
     a_eq = jac_f.T @ B  # n x k
-    b_eq = -obj.gradient
+    b_eq = -grad
     a_ub = np.zeros((len(neg_idx), k))
     for r, j in enumerate(neg_idx):
         a_ub[r, j] = 1.0
     poly = Polyhedron.build(k, a_ub=a_ub, b_ub=np.zeros(len(neg_idx)), a_eq=a_eq, b_eq=b_eq)
-    eqtol = tol * (1.0 + float(np.linalg.norm(obj.gradient)))
+    eqtol = tol * (1.0 + float(np.linalg.norm(grad)))
     try:
         if not polyhedra.is_feasible(poly, tol=eqtol):
             return MultiplierSetAnalysis("exact", False, False, None, None, "no multiplier exists")

@@ -78,9 +78,9 @@ class ConvergenceReport:
 def build_subproblem(p: ProblemSpec, z: KKTPair) -> SubproblemData:
     """Quadratic model at z with the exact Lagrangian Hessian."""
     data = problem_mod.lagrangian_data(p, z)
-    obj = expr.eval2(p.objective, z.x)
+    _, grad = expr.eval1(p.objective, z.x)
     return SubproblemData(
-        H=data.hess_xx, g=obj.gradient, A=data.jac_f, c=data.f_val, cone=p.cone
+        H=data.hess_xx, g=grad, A=data.jac_f, c=data.f_val, cone=p.cone
     )
 
 

@@ -124,6 +124,20 @@ class TestEval2:
             so = expr.eval2(ast, rng.uniform(-2, 2, size=n))
             assert np.allclose(so.hessian, so.hessian.T, atol=1e-12)
 
+    def test_eval1_is_eval2_without_the_hessian_bit_for_bit(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            ast = expr.ExprAST(random_ast(rng, n), n)
+            x = rng.uniform(-2, 2, size=n)
+            so = expr.eval2(ast, x)
+            value, gradient = expr.eval1(ast, x)
+            assert value == so.value
+            assert np.array_equal(gradient, so.gradient)
+        with pytest.raises(expr.EvalError):
+            expr.eval1(expr.parse("1/x1", 1), np.array([0.0]))
+        with pytest.raises(ValueError):
+            expr.eval1(expr.parse("x1", 1), np.zeros(2))
+
 
 # round-trips: parse(to_string(ast)) reproduces the tree exactly on the
 # parser's image (the grammar has no negative literals: "-1" is unary minus,
