@@ -1,9 +1,10 @@
 """Command-line harness: solve / diagnose / probe-calmness / oracle-check.
 
 Exit codes: 0 on success, 1 when the run produced FAILURE artifacts (or an
-oracle deviation beyond tolerance), 2 on usage or schema errors.  JSON
-reports are byte-identical for identical inputs, seed and version; wall
-time is printed to the console only.
+oracle deviation beyond tolerance), 2 on usage or schema errors and on a
+search that ran out of its work budget.  JSON reports are byte-identical
+for identical inputs, seed and version; wall time is printed to the
+console only.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import time
 import numpy as np
 
 from . import __version__, cones, diagnostics, registry, sqp
+from .polyhedra import BudgetExceeded
 from .problem import KKTPair, kkt_residual
 from .registry import SchemaError
 
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,7 +36,7 @@ from . import cones, expr, polyhedra
 from . import problem as problem_mod
 from .cones import CriticalCone
 from .polyhedra import BudgetExceeded, Polyhedron
-from .problem import KKTPair, MultiplierSetAnalysis, ProblemSpec
+from .problem import KKTPair, LagrangianData, MultiplierSetAnalysis, ProblemSpec
 from .subproblem import damped_newton
 
 CALM = "Calm"
@@ -127,20 +127,25 @@ class DiagnosticsReport:
     failures: tuple[str, ...] = field(default=())
 
 
-def _gate(p: ProblemSpec, z: KKTPair, tol: float):
-    res = problem_mod.kkt_residual(p, z)
+def _gate(p: ProblemSpec, z: KKTPair, tol: float) -> LagrangianData:
+    """The Lagrangian data of z, once its KKT residual passes the gate."""
+    data = problem_mod.lagrangian_data(p, z)
+    res = problem_mod._kkt_residual_of(p, z, data)
     scale = 1.0 + float(np.linalg.norm(z.lam))
     if res.total > tol * scale:
         raise ValueError(
             f"point is not a KKT solution: residual {res.total:.3e} exceeds gate {tol * scale:.3e}"
         )
-    return res
+    return data
+
+
+def _critical_cone(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> CriticalCone:
+    return cones.critical_cone(p.cone, data.f_val, z.lam, tol=1e-7)
 
 
 def _point_data(p: ProblemSpec, z: KKTPair):
     data = problem_mod.lagrangian_data(p, z)
-    K = cones.critical_cone(p.cone, data.f_val, z.lam, tol=1e-7)
-    return data, K
+    return data, _critical_cone(p, z, data)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +160,13 @@ def check_ssoc(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     otherwise.
     """
     cfg = cfg or DiagnosticsConfig()
-    _gate(p, z, cfg.gate_tol)
-    data, K = _point_data(p, z)
+    data = _gate(p, z, cfg.gate_tol)
+    return _ssoc(p, data, _critical_cone(p, z, data), cfg)
+
+
+def _ssoc(
+    p: ProblemSpec, data: LagrangianData, K: CriticalCone, cfg: DiagnosticsConfig
+) -> SSOCResult:
     J = data.jac_f
     Q = data.hess_xx + J.T @ K.curvature_matrix() @ J
     Q = 0.5 * (Q + Q.T)
@@ -229,8 +239,13 @@ def check_noncriticality(
     sampled search and can only certify criticality, not its absence.
     """
     cfg = cfg or DiagnosticsConfig()
-    _gate(p, z, cfg.gate_tol)
-    data, K = _point_data(p, z)
+    data = _gate(p, z, cfg.gate_tol)
+    return _noncriticality(p, data, _critical_cone(p, z, data), cfg)
+
+
+def _noncriticality(
+    p: ProblemSpec, data: LagrangianData, K: CriticalCone, cfg: DiagnosticsConfig
+) -> NoncriticalityResult:
     J = data.jac_f
     Hc = K.curvature_matrix()
     Q = data.hess_xx + J.T @ Hc @ J
@@ -393,8 +408,13 @@ def _noncrit_sampled(p, data, K: CriticalCone, Q, J, Hc, cfg: DiagnosticsConfig)
 def check_srcq(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None) -> SRCQResult:
     """Triviality of ``K* ∩ ker jac_f^T`` at the KKT point."""
     cfg = cfg or DiagnosticsConfig()
-    _gate(p, z, cfg.gate_tol)
-    data, K = _point_data(p, z)
+    data = _gate(p, z, cfg.gate_tol)
+    return _srcq(p, data, _critical_cone(p, z, data), cfg)
+
+
+def _srcq(
+    p: ProblemSpec, data: LagrangianData, K: CriticalCone, cfg: DiagnosticsConfig
+) -> SRCQResult:
     J = data.jac_f
     B = polyhedra.null_basis(J.T, p.m)  # basis of ker J^T in R^m
     k = B.shape[1]
@@ -494,10 +514,14 @@ def check_multiplier_calmness(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig
     """Calm for polyhedral cones; otherwise strict complementarity is the
     only sufficient condition implemented, anything else is Inconclusive."""
     cfg = cfg or DiagnosticsConfig()
-    _gate(p, z, cfg.gate_tol)
+    return _multiplier_calmness(p, z, _gate(p, z, cfg.gate_tol), cfg)
+
+
+def _multiplier_calmness(
+    p: ProblemSpec, z: KKTPair, data: LagrangianData, cfg: DiagnosticsConfig
+) -> CalmnessResult:
     if p.cone.is_polyhedral:
         return CalmnessResult(CALM, "polyhedral constraint cone (Hoffman bound)")
-    data, _ = _point_data(p, z)
     y = data.f_val
     tol = cfg.tol
     lscale = 1.0 + float(np.linalg.norm(z.lam))
@@ -721,11 +745,12 @@ def classify_stationary_point(
     profile is also flagged.  Violations are FAILURE artifacts.
     """
     cfg = cfg or DiagnosticsConfig()
-    _gate(p, z, cfg.gate_tol)
-    ssoc = check_ssoc(p, z, cfg)
-    srcq = check_srcq(p, z, cfg)
-    noncrit = check_noncriticality(p, z, cfg)
-    calm = check_multiplier_calmness(p, z, cfg)
+    data = _gate(p, z, cfg.gate_tol)
+    K = _critical_cone(p, z, data)
+    ssoc = _ssoc(p, data, K, cfg)
+    srcq = _srcq(p, data, K, cfg)
+    noncrit = _noncriticality(p, data, K, cfg)
+    calm = _multiplier_calmness(p, z, data, cfg)
     msa = problem_mod.multiplier_set_analysis(p, z.x, tol=cfg.tol)
     unique: bool | None = msa.unique if msa.status == "exact" else None
     probe = probe_isolated_calmness(p, z, cfg) if cfg.run_probe else None

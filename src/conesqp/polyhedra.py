@@ -183,8 +183,12 @@ def functional_range(
     T, q, ok = _reduce_equalities(poly.a_eq, poly.b_eq, tol)
     if not ok:
         return None
-    A = poly.a_ub @ T
-    b = poly.b_ub - poly.a_ub @ q
+    return _reduced_range(poly.a_ub @ T, poly.b_ub - poly.a_ub @ q, T, q, c, tol, budget)
+
+
+def _reduced_range(A, b, T, q, c, tol, budget):
+    """``functional_range`` after the equalities are gone: x = T z + q with
+    ``A z <= b``."""
     cz = c @ T
     c0 = float(c @ q)
     # introduce t = cz . z as a trailing variable, then project everything else
@@ -244,13 +248,22 @@ def nonzero_points(poly: Polyhedron, coords):
     the polyhedron, a point of it with ``x_j = +1`` (or ``-1``) when one is
     found.
 
-    Stops at the first coordinate whose range comes back empty: an empty
-    polyhedron has no point to offer for any coordinate.
+    The equalities are reduced once for all coordinates.  An inconsistent
+    reduction, or one that leaves no free variable and a zero on every
+    requested coordinate (the polyhedron is at most that one point), has no
+    point to offer.  Otherwise the search stops at the first coordinate whose
+    range comes back empty, for the same reason.
     """
+    coords = list(coords)
+    T, q, ok = _reduce_equalities(poly.a_eq, poly.b_eq)
+    if not ok or (T.shape[1] == 0 and np.all(np.abs(q[coords]) <= _TOL)):
+        return
+    A = poly.a_ub @ T
+    b = poly.b_ub - poly.a_ub @ q
     for j in coords:
         c = np.zeros(poly.dim)
         c[j] = 1.0
-        rng = functional_range(poly, c)
+        rng = _reduced_range(A, b, T, q, c, _TOL, 50_000)
         if rng is None:
             return
         if rng[1] > _TOL:

@@ -116,7 +116,11 @@ def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
 
 
 def kkt_residual(p: ProblemSpec, z: KKTPair) -> KKTResidual:
-    data = lagrangian_data(p, z)
+    return _kkt_residual_of(p, z, lagrangian_data(p, z))
+
+
+def _kkt_residual_of(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> KKTResidual:
+    """``kkt_residual`` from the Lagrangian data of ``z`` already at hand."""
     return KKTResidual(
         stationarity=float(np.linalg.norm(data.grad_x)),
         complementarity=cones.normal_cone_residual(
@@ -182,6 +186,13 @@ def _multiplier_parametrization(p: ProblemSpec, y: np.ndarray, tol: float):
     return B, neg_idx, None
 
 
+def _tolerance_edge(what: str) -> MultiplierSetAnalysis:
+    return MultiplierSetAnalysis(
+        "inconclusive", True, False, None, None,
+        f"multiplier set at a tolerance edge: feasible, but elimination gave {what}",
+    )
+
+
 def multiplier_set_analysis(
     p: ProblemSpec, x: np.ndarray, tol: float = STATIONARITY_TOL
 ) -> MultiplierSetAnalysis:
@@ -213,11 +224,15 @@ def multiplier_set_analysis(
         if not polyhedra.is_feasible(poly, tol=eqtol):
             return MultiplierSetAnalysis("exact", False, False, None, None, "no multiplier exists")
         v0 = polyhedra.feasible_point(poly, tol=eqtol)
+        if v0 is None:
+            return _tolerance_edge("no feasible point")
         box = []
         width_tol = 1e-9 * (1.0 + float(np.linalg.norm(B @ v0)))
         unique = True
         for i in range(p.m):
             rng = polyhedra.functional_range(poly, B[i], tol=eqtol)
+            if rng is None:
+                return _tolerance_edge(f"an empty range of lam[{i}]")
             box.append((rng[0], rng[1]))
             width = rng[1] - rng[0]
             if not math.isfinite(width) or width > width_tol:

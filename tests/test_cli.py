@@ -76,6 +76,19 @@ class TestSolveCommand:
         out = capsys.readouterr().out
         assert "Converged" in out
 
+    def test_budget_exceeded_exits_2_without_traceback(self, monkeypatch, capsys):
+        from conesqp import subproblem
+        from conesqp.polyhedra import BudgetExceeded
+
+        def out_of_budget(*args, **kwargs):
+            raise BudgetExceeded("fourier-motzkin would create 99999 rows")
+
+        monkeypatch.setattr(subproblem, "enumerate_kkt_points", out_of_budget)
+        assert run(["solve", "qp_orthant"]) == 2
+        err = capsys.readouterr().err
+        assert "error: fourier-motzkin would create 99999 rows" in err
+        assert "Traceback" not in err
+
     def test_json_report_written(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         assert run(["solve", "ex55", "--x0", "1.9", "--lam0", "0", "--json", str(path)]) == 0

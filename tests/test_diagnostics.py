@@ -256,6 +256,18 @@ class TestClassify:
         assert rep.isolated_calmness_consistent is None
         assert rep.failures == ()
 
+    def test_one_lagrangian_evaluation_per_classification(self, reg, monkeypatch):
+        calls = []
+        evaluate = problem.lagrangian_data
+
+        def counting(p, z):
+            calls.append(z)
+            return evaluate(p, z)
+
+        monkeypatch.setattr(problem, "lagrangian_data", counting)
+        classify_stationary_point(reg["ex55"].problem, KKTPair([0.0], [0.0]), CFG)
+        assert len(calls) == 1
+
     def test_full_registry_zero_failures_with_probe(self, reg):
         cfg = DiagnosticsConfig()
         for name, entry in reg.items():

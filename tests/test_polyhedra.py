@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conesqp import polyhedra
 from conesqp.polyhedra import (
     BudgetExceeded,
     Polyhedron,
     feasible_point,
     functional_range,
     is_feasible,
+    nonzero_points,
 )
 
 
@@ -90,3 +92,93 @@ def test_budget_guard():
     P = Polyhedron.build(8, a_ub=A, b_ub=np.ones(40))
     with pytest.raises(BudgetExceeded):
         functional_range(P, np.ones(8), budget=50)
+
+
+def _nonzero_points_reference(poly, coords):
+    """``nonzero_points`` as one full range per coordinate, each reducing the
+    equalities again: the answer the shared reduction must reproduce."""
+    for j in coords:
+        c = np.zeros(poly.dim)
+        c[j] = 1.0
+        rng = functional_range(poly, c)
+        if rng is None:
+            return
+        if rng[1] > 1e-9:
+            target = 1.0
+        elif rng[0] < -1e-9:
+            target = -1.0
+        else:
+            continue
+        pinned = Polyhedron.build(
+            poly.dim, a_ub=poly.a_ub, b_ub=poly.b_ub,
+            a_eq=np.vstack([poly.a_eq, c]), b_eq=np.concatenate([poly.b_eq, [target]]),
+        )
+        point = feasible_point(pinned)
+        if point is not None:
+            yield point
+
+
+def _random_polyhedron(rng, kind):
+    d = int(rng.integers(1, 6))
+    k_ub = 0 if kind == "no_inequalities" else int(rng.integers(0, d + 4))
+    a_ub = rng.normal(size=(k_ub, d))
+    b_ub = np.zeros(k_ub) if rng.random() < 0.5 else rng.normal(size=k_ub)
+    if kind == "pinned_at_zero":  # nonsingular homogeneous equalities: x = 0
+        return Polyhedron.build(d, a_ub=a_ub, b_ub=np.zeros(k_ub),
+                                a_eq=rng.normal(size=(d, d)), b_eq=np.zeros(d))
+    if kind == "pinned_elsewhere":  # x = q, coordinates of q zero, tiny, +-1 or other
+        q = rng.choice([0.0, 1e-12, 1.0, -1.0, 0.7], size=d)
+        a_eq = rng.normal(size=(d, d))
+        return Polyhedron.build(d, a_ub=a_ub, b_ub=a_ub @ q + np.abs(b_ub),
+                                a_eq=a_eq, b_eq=a_eq @ q)
+    if kind == "inconsistent":
+        row = rng.normal(size=(1, d))
+        return Polyhedron.build(d, a_ub=a_ub, b_ub=b_ub,
+                                a_eq=np.vstack([row, row]), b_eq=np.array([0.0, 1.0]))
+    k_eq = int(rng.integers(0, d))  # fewer equalities than columns: free columns remain
+    a_eq = rng.normal(size=(k_eq, d))
+    b_eq = np.zeros(k_eq) if rng.random() < 0.5 else rng.normal(size=k_eq)
+    return Polyhedron.build(d, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+def _collect(points):
+    """The points a generator yields, and whether it ran out of budget."""
+    out = []
+    try:
+        for point in points:
+            out.append(point)
+    except BudgetExceeded:
+        return out, True
+    return out, False
+
+
+@pytest.mark.parametrize(
+    "kind", ["pinned_at_zero", "pinned_elsewhere", "inconsistent", "free_columns",
+             "no_inequalities"],
+)
+def test_nonzero_points_match_per_coordinate_reference(kind):
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        P = _random_polyhedron(rng, kind)
+        coords = [j for j in range(P.dim) if rng.random() < 0.8]
+        got, got_budget = _collect(nonzero_points(P, coords))
+        want, want_budget = _collect(_nonzero_points_reference(P, coords))
+        assert got_budget == want_budget
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_nonzero_points_skip_ranges_on_a_pattern_pinned_at_zero(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return functional_range(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "functional_range", counting)
+    P = Polyhedron.build(
+        4, a_ub=-np.eye(4)[:2], b_ub=np.zeros(2),
+        a_eq=np.eye(4) + np.triu(np.ones((4, 4)), 1), b_eq=np.zeros(4),
+    )
+    assert list(polyhedra.nonzero_points(P, range(4))) == []
+    assert calls == []

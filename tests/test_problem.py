@@ -96,6 +96,13 @@ class TestMultiplierSet:
         assert out.status == "exact" and out.unique
         assert np.allclose(out.sample, [1.0, 0.0, -1.0], atol=1e-9)
 
+    def test_empty_range_after_feasible_is_inconclusive(self, reg, monkeypatch):
+        # at a tolerance edge the range can come back empty after is_feasible said yes
+        monkeypatch.setattr(problem.polyhedra, "functional_range", lambda *a, **k: None)
+        out = problem.multiplier_set_analysis(reg["qp_orthant"].problem, np.array([1.0, 0.0]))
+        assert out.status == "inconclusive"
+        assert "tolerance edge" in out.reason
+
     def test_nonstationary_point_reports_empty(self, ex55):
         out = problem.multiplier_set_analysis(ex55, np.array([1.0]))
         assert out.status == "exact" and not out.nonempty
