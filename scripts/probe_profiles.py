@@ -29,7 +29,7 @@ def main():
         radii = " ".join(f"{s.max_ratio:>9.3g}" for s in probe.samples)
         print(f"{name:<14} lam={np.round(z.lam, 3)!s:<16} {radii}   -> {probe.profile}")
     print("\ncolumns: max ratio at r = " +
-          ", ".join(f"{r:.0e}" for r in diagnostics.DiagnosticsConfig().probe_radii))
+          ", ".join(f"{r:.0e}" for r in diagnostics.PROBE_RADII))
 
 
 if __name__ == "__main__":

@@ -48,17 +48,16 @@ PROBE_INDETERMINATE = "indeterminate"
 
 _SSOC_THRESHOLD = 1e-8
 _FACE_BUDGET = 14  # at most 2**_FACE_BUDGET face patterns
+_TOL = 1e-8  # KKT gate, multiplier set analysis and strict complementarity
+_SAMPLE_COUNT = 100  # safety-net samples for non-polyhedral searches
+PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+_PROBE_BALL = 0.5  # probe solutions farther than this from the point are ignored
 
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
-    tol: float = 1e-8
-    gate_tol: float = 1e-8
     seed: int = 0
-    sample_count: int = 100  # safety-net samples for non-polyhedral searches
-    probe_radii: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
     probe_samples: int = 8  # random directions per radius, besides the axes
-    probe_ball: float = 0.5
     run_probe: bool = True
     jobs: int = 1
 
@@ -127,25 +126,20 @@ class DiagnosticsReport:
     failures: tuple[str, ...] = field(default=())
 
 
-def _gate(p: ProblemSpec, z: KKTPair, tol: float) -> LagrangianData:
+def _gate(p: ProblemSpec, z: KKTPair) -> LagrangianData:
     """The Lagrangian data of z, once its KKT residual passes the gate."""
     data = problem_mod.lagrangian_data(p, z)
     res = problem_mod._kkt_residual_of(p, z, data)
     scale = 1.0 + float(np.linalg.norm(z.lam))
-    if res.total > tol * scale:
+    if res.total > _TOL * scale:
         raise ValueError(
-            f"point is not a KKT solution: residual {res.total:.3e} exceeds gate {tol * scale:.3e}"
+            f"point is not a KKT solution: residual {res.total:.3e} exceeds gate {_TOL * scale:.3e}"
         )
     return data
 
 
 def _critical_cone(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> CriticalCone:
     return cones.critical_cone(p.cone, data.f_val, z.lam, tol=1e-7)
-
-
-def _point_data(p: ProblemSpec, z: KKTPair):
-    data = problem_mod.lagrangian_data(p, z)
-    return data, _critical_cone(p, z, data)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ def check_ssoc(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     otherwise.
     """
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z, cfg.gate_tol)
+    data = _gate(p, z)
     return _ssoc(p, data, _critical_cone(p, z, data), cfg)
 
 
@@ -208,7 +202,7 @@ def _ssoc_sampled(Q, E, G, K: CriticalCone, J, n, cfg: DiagnosticsConfig) -> SSO
         return SSOCResult(math.inf, None, conclusive=True)  # only w = 0 is critical
     best = math.inf
     witness = None
-    for _ in range(50 * max(cfg.sample_count, 1)):
+    for _ in range(50 * _SAMPLE_COUNT):
         t = rng.normal(size=B.shape[1])
         w = B @ t
         nrm = float(np.linalg.norm(w))
@@ -239,7 +233,7 @@ def check_noncriticality(
     sampled search and can only certify criticality, not its absence.
     """
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z, cfg.gate_tol)
+    data = _gate(p, z)
     return _noncriticality(p, data, _critical_cone(p, z, data), cfg)
 
 
@@ -369,7 +363,7 @@ def _noncrit_sampled(p, data, K: CriticalCone, Q, J, Hc, cfg: DiagnosticsConfig)
     B = polyhedra.null_basis(E, p.n)
     if B.shape[1] == 0:
         return None
-    for _ in range(cfg.sample_count):
+    for _ in range(_SAMPLE_COUNT):
         w = B @ rng.normal(size=B.shape[1])
         nrm = float(np.linalg.norm(w))
         if nrm < 1e-12:
@@ -408,7 +402,7 @@ def _noncrit_sampled(p, data, K: CriticalCone, Q, J, Hc, cfg: DiagnosticsConfig)
 def check_srcq(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None) -> SRCQResult:
     """Triviality of ``K* ∩ ker jac_f^T`` at the KKT point."""
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z, cfg.gate_tol)
+    data = _gate(p, z)
     return _srcq(p, data, _critical_cone(p, z, data), cfg)
 
 
@@ -467,7 +461,7 @@ def _verify_srcq_witness(K: CriticalCone, J, u, tol: float = 1e-8) -> bool:
 
 def _srcq_sampled(K: CriticalCone, B, cfg: DiagnosticsConfig):
     rng = np.random.default_rng(cfg.seed + 2)
-    for _ in range(50 * cfg.sample_count):
+    for _ in range(50 * _SAMPLE_COUNT):
         u = B @ rng.normal(size=B.shape[1])
         nrm = float(np.linalg.norm(u))
         if nrm < 1e-12:
@@ -512,31 +506,28 @@ def _srcq_primal(p: ProblemSpec, K: CriticalCone, J) -> bool:
 
 def check_multiplier_calmness(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None) -> CalmnessResult:
     """Calm for polyhedral cones; otherwise strict complementarity is the
-    only sufficient condition implemented, anything else is Inconclusive."""
-    cfg = cfg or DiagnosticsConfig()
-    return _multiplier_calmness(p, z, _gate(p, z, cfg.gate_tol), cfg)
+    only sufficient condition implemented, anything else is Inconclusive.
+    No ``cfg`` setting changes this check; it shares the ``check_*`` signature."""
+    return _multiplier_calmness(p, z, _gate(p, z))
 
 
-def _multiplier_calmness(
-    p: ProblemSpec, z: KKTPair, data: LagrangianData, cfg: DiagnosticsConfig
-) -> CalmnessResult:
+def _multiplier_calmness(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> CalmnessResult:
     if p.cone.is_polyhedral:
         return CalmnessResult(CALM, "polyhedral constraint cone (Hoffman bound)")
     y = data.f_val
-    tol = cfg.tol
     lscale = 1.0 + float(np.linalg.norm(z.lam))
     for block, sl in p.cone.slices():
         if block.kind != cones.SOC:
             continue
-        case = cones._soc_case(y[sl], tol)
+        case = cones._soc_case(y[sl], _TOL)
         lb = z.lam[sl]
         if case == "interior":
             continue  # lam block is 0, trivially interior to {0}
         if case == "boundary":
-            if -lb[-1] <= tol * lscale:
+            if -lb[-1] <= _TOL * lscale:
                 return CalmnessResult(INCONCLUSIVE, "strict complementarity fails")
         else:  # apex: lam must be interior to the polar cone
-            if not (float(np.linalg.norm(lb[:-1])) < -lb[-1] - tol * lscale):
+            if not (float(np.linalg.norm(lb[:-1])) < -lb[-1] - _TOL * lscale):
                 return CalmnessResult(INCONCLUSIVE, "strict complementarity fails")
     return CalmnessResult(CALM, "strict complementarity on every active second-order block")
 
@@ -661,7 +652,7 @@ def probe_isolated_calmness(
     decision-grade tests are the second-order checks.
     """
     cfg = cfg or DiagnosticsConfig()
-    _gate(p, z, cfg.gate_tol)
+    _gate(p, z)
     dim = p.n + p.m
     rng = np.random.default_rng(cfg.seed + 3)
     dirs = [e * s for e in np.eye(dim) for s in (1.0, -1.0)]
@@ -678,14 +669,14 @@ def probe_isolated_calmness(
         found = 0
         for s in sols:
             dist = s.distance_to(z)
-            if dist <= cfg.probe_ball:
+            if dist <= _PROBE_BALL:
                 found += 1
                 best = max(best, dist / radius)
         return ri, best, found
 
     jobs = [
         (ri, si, radius, direction)
-        for ri, radius in enumerate(cfg.probe_radii)
+        for ri, radius in enumerate(PROBE_RADII)
         for si, direction in enumerate(dirs)
     ]
     if cfg.jobs > 1:
@@ -694,7 +685,7 @@ def probe_isolated_calmness(
     else:
         results = [run_sample(j) for j in jobs]
     samples = []
-    for ri, radius in enumerate(cfg.probe_radii):
+    for ri, radius in enumerate(PROBE_RADII):
         rows = [r for r in results if r[0] == ri]
         samples.append(
             RadiusSample(
@@ -745,13 +736,13 @@ def classify_stationary_point(
     profile is also flagged.  Violations are FAILURE artifacts.
     """
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z, cfg.gate_tol)
+    data = _gate(p, z)
     K = _critical_cone(p, z, data)
     ssoc = _ssoc(p, data, K, cfg)
     srcq = _srcq(p, data, K, cfg)
     noncrit = _noncriticality(p, data, K, cfg)
-    calm = _multiplier_calmness(p, z, data, cfg)
-    msa = problem_mod.multiplier_set_analysis(p, z.x, tol=cfg.tol)
+    calm = _multiplier_calmness(p, z, data)
+    msa = problem_mod.multiplier_set_analysis(p, z.x, tol=_TOL)
     unique: bool | None = msa.unique if msa.status == "exact" else None
     probe = probe_isolated_calmness(p, z, cfg) if cfg.run_probe else None
 

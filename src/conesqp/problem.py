@@ -76,6 +76,7 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class LagrangianData:
     L: float
+    grad_obj: np.ndarray  # gradient of the objective alone
     grad_x: np.ndarray
     hess_xx: np.ndarray
     f_val: np.ndarray
@@ -108,6 +109,7 @@ def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
     hess = obj.hessian + np.tensordot(z.lam, f_hess, axes=1)
     return LagrangianData(
         L=obj.value + float(f_val @ z.lam),
+        grad_obj=obj.gradient,
         grad_x=obj.gradient + jac_f.T @ z.lam,
         hess_xx=0.5 * (hess + hess.T),
         f_val=f_val,

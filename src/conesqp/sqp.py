@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr
 from . import problem as problem_mod
-from .problem import KKTPair, KKTResidual, ProblemSpec
+from .problem import KKTPair, KKTResidual, LagrangianData, ProblemSpec
 from .subproblem import (
     KKT_POINT,
     SolverConfig,
@@ -77,18 +76,22 @@ class ConvergenceReport:
 
 def build_subproblem(p: ProblemSpec, z: KKTPair) -> SubproblemData:
     """Quadratic model at z with the exact Lagrangian Hessian."""
-    data = problem_mod.lagrangian_data(p, z)
-    _, grad = expr.eval1(p.objective, z.x)
+    return _subproblem_of(p, problem_mod.lagrangian_data(p, z))
+
+
+def _subproblem_of(p: ProblemSpec, data: LagrangianData) -> SubproblemData:
     return SubproblemData(
-        H=data.hess_xx, g=grad, A=data.jac_f, c=data.f_val, cone=p.cone
+        H=data.hess_xx, g=data.grad_obj, A=data.jac_f, c=data.f_val, cone=p.cone
     )
 
 
 def run_basic_sqp(p: ProblemSpec, z0: KKTPair, cfg: SQPConfig | None = None) -> ConvergenceReport:
     cfg = cfg or SQPConfig()
     z = z0
+    # one Lagrangian evaluation per iterate serves its residual and its subproblem
+    data = problem_mod.lagrangian_data(p, z)
     iterates = [z]
-    residuals = [problem_mod.kkt_residual(p, z)]
+    residuals = [problem_mod._kkt_residual_of(p, z, data)]
     step_norms: list[float] = []
     status = ITER_LIMIT
     failure_iter = None
@@ -97,9 +100,8 @@ def run_basic_sqp(p: ProblemSpec, z0: KKTPair, cfg: SQPConfig | None = None) -> 
         if residuals[-1].total <= cfg.stop_tol:
             status = CONVERGED
             break
-        data = build_subproblem(p, z)
         sol = solve_subproblem(
-            data,
+            _subproblem_of(p, data),
             hint=(np.zeros(p.n), z.lam),
             cfg=SolverConfig(seed=cfg.seed + k),
         )
@@ -112,7 +114,8 @@ def run_basic_sqp(p: ProblemSpec, z0: KKTPair, cfg: SQPConfig | None = None) -> 
         step = z_next.distance_to(z)
         step_norms.append(step)
         iterates.append(z_next)
-        residuals.append(problem_mod.kkt_residual(p, z_next))
+        data = problem_mod.lagrangian_data(p, z_next)
+        residuals.append(problem_mod._kkt_residual_of(p, z_next, data))
         z = z_next
         # a step that lands on a KKT point converges even if it was long;
         # the localization bound only polices non-terminal steps

@@ -38,6 +38,12 @@ ENGINE_NEWTON = "SemismoothNewton"
 ENGINE_SPLITTING = "Splitting"
 
 _ENUM_MAX_M = 10
+_TOL = 1e-9  # accepted KKT residual, relative to SubproblemData.scale
+_SIGN_SLACK = 1e-10  # enumeration sign checks, relative to SubproblemData.scale
+_N_STARTS = 50
+_NEWTON_MAX_ITERS = 100
+_ADMM_RHO = 1.0
+_ADMM_MAX_ITERS = 20_000
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,7 @@ class SubproblemData:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-9
-    sign_slack: float = 1e-10
     seed: int = 0
-    n_starts: int = 50
-    newton_max_iters: int = 100
-    admm_rho: float = 1.0
-    admm_max_iters: int = 20_000
     engine: str | None = None  # force a specific engine (tests / cross-validation)
 
 
@@ -115,7 +115,7 @@ def kkt_residual(data: SubproblemData, d: np.ndarray, lam: np.ndarray) -> float:
 # Enumeration engine (polyhedral cones)
 
 
-def enumerate_kkt_points(data: SubproblemData, cfg: SolverConfig | None = None):
+def enumerate_kkt_points(data: SubproblemData):
     """All KKT points of a purely polyhedral subproblem, by active patterns.
 
     For every active/inactive pattern of orthant coordinates the KKT system
@@ -123,14 +123,13 @@ def enumerate_kkt_points(data: SubproblemData, cfg: SolverConfig | None = None):
     are collected and deduplicated.  The empty list certifies that the
     generalized equation has no solution.
     """
-    cfg = cfg or SolverConfig()
     if not data.cone.is_polyhedral:
         raise ValueError("enumeration requires a purely polyhedral cone")
     if data.m > _ENUM_MAX_M:
         raise BudgetExceeded(f"enumeration limited to m <= {_ENUM_MAX_M}, got {data.m}")
     n, m = data.n, data.m
     scale = data.scale
-    slack = cfg.sign_slack * scale
+    slack = _SIGN_SLACK * scale
     found: list[tuple[np.ndarray, np.ndarray]] = []
     for active, orth_active, inactive in cones.active_patterns(data.cone):
         na = len(active)
@@ -245,22 +244,22 @@ def _newton_from(data: SubproblemData, d0, lam0, max_iters: int):
     return damped_newton(data.cone, residual, linearize, d0, lam0, tol, max_iters)
 
 
-def semismooth_newton_solve(data: SubproblemData, hint, cfg: SolverConfig):
+def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
     """Multi-start semismooth Newton; returns all distinct KKT points found."""
     n, m = data.n, data.m
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     hint_d, hint_lam = hint
     starts = [(hint_d.copy(), hint_lam.copy()), (np.zeros(n), np.zeros(m))]
     scale = data.scale
-    while len(starts) < cfg.n_starts:
+    while len(starts) < _N_STARTS:
         spread = scale * 10 ** rng.uniform(-1.0, 1.0)
         starts.append(
             (hint_d + spread * rng.normal(size=n), hint_lam + spread * rng.normal(size=m))
         )
-    tol = cfg.tol * scale
+    tol = _TOL * scale
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     for d0, lam0 in starts:
-        d, lam, res = _newton_from(data, d0, lam0, cfg.newton_max_iters)
+        d, lam, res = _newton_from(data, d0, lam0, _NEWTON_MAX_ITERS)
         if res <= tol:
             solutions.append((d, lam))
             if np.linalg.norm(np.concatenate([d - hint_d, lam - hint_lam])) <= tol * 10:
@@ -272,12 +271,12 @@ def semismooth_newton_solve(data: SubproblemData, hint, cfg: SolverConfig):
 # Splitting (ADMM) engine
 
 
-def splitting_solve(data: SubproblemData, cfg: SolverConfig):
+def splitting_solve(data: SubproblemData):
     """ADMM on min g.d + 0.5 d.H.d  s.t.  s = c + A d, s in cone (H psd)."""
     eigs = np.linalg.eigvalsh(data.H)
     if eigs.min(initial=0.0) < -1e-9 * max(1.0, abs(eigs).max(initial=1.0)):
         return None
-    rho = cfg.admm_rho
+    rho = _ADMM_RHO
     n, m = data.n, data.m
     M = data.H + rho * data.A.T @ data.A
     try:
@@ -288,7 +287,7 @@ def splitting_solve(data: SubproblemData, cfg: SolverConfig):
     u = np.zeros(m)
     scale = data.scale
     d = np.zeros(n)
-    for _ in range(cfg.admm_max_iters):
+    for _ in range(_ADMM_MAX_ITERS):
         rhs = -data.g - rho * data.A.T @ (data.c - s + u)
         d = np.linalg.solve(M_chol.T, np.linalg.solve(M_chol, rhs))
         y = data.c + data.A @ d
@@ -406,7 +405,7 @@ def solve_subproblem(
         )
 
     if engine == ENGINE_ENUMERATION:
-        points = enumerate_kkt_points(data, cfg)
+        points = enumerate_kkt_points(data)
         if points:
             d, lam = _nearest(points, hint)
             return SubproblemSolution(
@@ -418,17 +417,17 @@ def solve_subproblem(
         return SubproblemSolution(NO_KKT_POINT, engine=ENGINE_ENUMERATION)
 
     if engine == ENGINE_SPLITTING:
-        solution = _splitting_point(data, cfg)
+        solution = _splitting_point(data)
         return solution or SubproblemSolution(ITER_LIMIT, engine=ENGINE_SPLITTING)
 
     # general path: semismooth Newton; only the automatic choice falls back to
     # splitting (psd Hessians), a forced Newton run reports its own failure
-    points = semismooth_newton_solve(data, hint, cfg)
+    points = semismooth_newton_solve(data, hint, cfg.seed)
     if points:
         d, lam = _nearest(points, hint)
         return SubproblemSolution(KKT_POINT, d, lam, kkt_residual(data, d, lam), ENGINE_NEWTON)
     if cfg.engine is None:
-        fallback = _splitting_point(data, cfg)
+        fallback = _splitting_point(data)
         if fallback is not None:
             return fallback
     if _linearized_feasible(data) is False:
@@ -438,12 +437,12 @@ def solve_subproblem(
     return SubproblemSolution(ITER_LIMIT, engine=ENGINE_NEWTON)
 
 
-def _splitting_point(data: SubproblemData, cfg: SolverConfig) -> SubproblemSolution | None:
-    out = splitting_solve(data, cfg)
+def _splitting_point(data: SubproblemData) -> SubproblemSolution | None:
+    out = splitting_solve(data)
     if out is not None:
         d, lam = out
         res = kkt_residual(data, d, lam)
-        if res <= cfg.tol * data.scale:
+        if res <= _TOL * data.scale:
             return SubproblemSolution(KKT_POINT, d, lam, res, ENGINE_SPLITTING)
     return None
 

@@ -131,8 +131,19 @@ class TestDiagnoseCommand:
         out = capsys.readouterr().out
         assert "CRITICAL" in out and "witness" in out
 
-    def test_non_kkt_point_exits_2(self, capsys):
-        assert run(["diagnose", "ex55", "--x", "1", "--lam", "0"]) == 2
+    def test_non_kkt_point_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert run(["diagnose", "ex55", "--x", "1", "--lam", "0", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not path.exists()
+
+    def test_point_needs_both_x_and_lam(self, capsys):
+        # a lone --x or --lam must not fall back to the reference point
+        assert run(["diagnose", "ex55", "--x", "0", "--no-probe"]) == 2
+        assert run(["probe-calmness", "ex55", "--lam", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error: --x and --lam go together") == 2
 
     def test_json_deterministic(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -160,3 +171,7 @@ class TestProbeAndOracleCommands:
 
     def test_oracle_check_bad_cone_name(self, capsys):
         assert run(["oracle-check", "--cone", "banana"]) == 2
+
+    def test_jobs_only_where_the_probe_runs(self, capsys):
+        assert run(["solve", "ex55", "--jobs", "2"]) == 2
+        assert run(["oracle-check", "--n", "1", "--jobs", "2"]) == 2

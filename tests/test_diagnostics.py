@@ -132,7 +132,8 @@ class TestNoncriticality:
                 exact = check_noncriticality(p, kp.point, CFG)
                 if not (exact.conclusive and exact.noncritical):
                     continue
-                data, K = diagnostics._point_data(p, kp.point)
+                data = problem.lagrangian_data(p, kp.point)
+                K = diagnostics._critical_cone(p, kp.point, data)
                 J = data.jac_f
                 Hc = K.curvature_matrix()
                 Q = data.hess_xx + J.T @ Hc @ J

@@ -101,7 +101,8 @@ def test_sampled_witnesses_imply_enumerated_criticality(rng):
         out = diagnostics.check_noncriticality(p, z, CFG)
         if not out.conclusive:
             continue
-        data, K = diagnostics._point_data(p, z)
+        data = problem.lagrangian_data(p, z)
+        K = diagnostics._critical_cone(p, z, data)
         J = data.jac_f
         Hc = K.curvature_matrix()
         Q = data.hess_xx + J.T @ Hc @ J

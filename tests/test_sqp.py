@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conesqp import sqp, subproblem
+from conesqp import problem, sqp, subproblem
 from conesqp.problem import KKTPair
 from conesqp.sqp import (
     CONVERGED,
@@ -86,6 +86,20 @@ class TestEx55Runs:
         for it, x_ref in zip(rep.iterates, oracle):
             assert it.x[0] == pytest.approx(x_ref, abs=1e-12)
         assert rep.iterates[1].x[0] - rep.iterates[0].x[0] == pytest.approx(0.095 / 0.9, abs=1e-12)
+
+    def test_one_lagrangian_evaluation_per_iterate(self, reg, monkeypatch):
+        # the residual and the subproblem at an iterate share one evaluation
+        calls = []
+        evaluate = problem.lagrangian_data
+
+        def counted(p, z):
+            calls.append(z)
+            return evaluate(p, z)
+
+        monkeypatch.setattr(problem, "lagrangian_data", counted)
+        rep = run_basic_sqp(reg["ex55"].problem, KKTPair([1.9], [0.0]))
+        assert len(rep.iterates) > 2
+        assert len(calls) == len(rep.iterates)
 
 
 class TestOtherRuns:

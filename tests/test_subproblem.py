@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conesqp import cones
+from conesqp import cones, subproblem
 from conesqp.subproblem import (
     ENGINE_ENUMERATION,
     ENGINE_NEWTON,
@@ -113,7 +113,7 @@ class TestSolveStatuses:
         A = np.array([[1.0], [0.0], [1.0]])
         data = SubproblemData(np.zeros((1, 1)), np.array([-1.0]), A, np.zeros(3),
                               cones.second_order(3))
-        sol = solve_subproblem(data, cfg=SolverConfig(n_starts=8))
+        sol = solve_subproblem(data)
         assert sol.status == UNBOUNDED
 
     def test_soc_strictly_complementary_solution(self):
@@ -126,17 +126,16 @@ class TestSolveStatuses:
         assert np.allclose(sol.lam, [1.0, 0.0, -1.0], atol=1e-9)
         assert sol.residual <= 1e-9
 
-    def test_forced_newton_reports_its_own_failure(self):
-        # one Newton step from each of two starts misses this boundary solution;
-        # only the automatic engine choice may fall back to splitting
+    def test_forced_newton_reports_its_own_failure(self, monkeypatch):
+        # when Newton finds no KKT point of this strictly convex problem, only
+        # the automatic engine choice may fall back to splitting
+        monkeypatch.setattr(subproblem, "semismooth_newton_solve", lambda *args: [])
         data = SubproblemData(np.eye(3), np.array([1.0, 2.0, -1.0]), np.eye(3), np.zeros(3),
                               cones.second_order(3))
         hint = (50.0 * np.ones(3), 50.0 * np.ones(3))
-        forced = solve_subproblem(
-            data, hint, SolverConfig(engine=ENGINE_NEWTON, n_starts=2, newton_max_iters=1)
-        )
+        forced = solve_subproblem(data, hint, SolverConfig(engine=ENGINE_NEWTON))
         assert forced.status == ITER_LIMIT and forced.engine == ENGINE_NEWTON
-        auto = solve_subproblem(data, hint, SolverConfig(n_starts=2, newton_max_iters=1))
+        auto = solve_subproblem(data, hint)
         assert auto.status == KKT_POINT and auto.engine == ENGINE_SPLITTING
 
 
