@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from . import cones, diagnostics, expr, polyhedra, problem, registry, sqp, subproblem
-from .cones import ConeBlock, ConeSpec, OracleParams
+from .cones import ConeBlock, ConeSpec
 from .expr import ExprAST, SecondOrderValue, eval2, parse
 from .problem import (
     KKTPair,

@@ -536,31 +536,21 @@ def proto_derivative_contains(
 # Difference-quotient oracle
 
 
-@dataclass(frozen=True)
-class OracleParams:
-    """Grid for the second-order difference-quotient search.
-
-    The quotient ``[indicator(y + t*w') - t<lam, w'>] / (t^2/2)`` is
-    minimized over ``w'`` with ``||w' - w|| <= radius * t`` (the O(t)
-    recovery neighborhood) on a mesh that is adaptively refined around the
-    best feasible point; the value is read off at the smallest grid ``t``
-    admitting a feasible point, which tracks the liminf defining the second
-    subderivative.
-    """
-
-    t0: float = 1e-2
-    t_levels: int = 11  # t_j = t0 * 2**-j, j = 0..t_levels-1
-    radius: float = 5.0
-    mesh_points: int = 21
-    refine_levels: int = 6
-    refine_points: int = 11
-    # Membership is decided at roundoff scale relative to the magnitudes
-    # entering each coordinate of y + t w + t^2 v, so a coordinate that is
-    # exactly zero admits no slack at all (the indicator is exact there).
-    feas_eps: float = 2e-15
-
-    def t_grid(self) -> list[float]:
-        return [self.t0 * 2.0**-j for j in range(self.t_levels)]
+# Grid for the second-order difference-quotient search.  The quotient
+# ``[indicator(y + t*w') - t<lam, w'>] / (t^2/2)`` is minimized over ``w'``
+# with ``||w' - w|| <= _RADIUS * t`` (the O(t) recovery neighborhood) on a
+# mesh that is adaptively refined around the best feasible point; the value is
+# read off at the smallest grid ``t`` admitting a feasible point, which tracks
+# the liminf defining the second subderivative.
+_T_GRID = [1e-2 * 2.0**-j for j in range(11)]  # t_j = 1e-2 * 2**-j, smallest last
+_RADIUS = 5.0
+_MESH_POINTS = 21
+_REFINE_LEVELS = 6
+_REFINE_POINTS = 11
+# Membership is decided at roundoff scale relative to the magnitudes entering
+# each coordinate of y + t w + t^2 v, so a coordinate that is exactly zero
+# admits no slack at all (the indicator is exact there).
+_FEAS_EPS = 2e-15
 
 
 def _mesh(center: np.ndarray, radius: float, points: int, cap: float) -> np.ndarray:
@@ -579,19 +569,19 @@ def _block_feasible(kind: str, pts: np.ndarray, mags: np.ndarray, eps: float) ->
     return np.linalg.norm(pts[:, :-1], axis=1) <= pts[:, -1] + eps * np.sum(mags, axis=1)
 
 
-def _block_inner_min(block: ConeBlock, yb, lb, wb, t: float, params: OracleParams) -> float:
+def _block_inner_min(block: ConeBlock, yb, lb, wb, t: float) -> float:
     """min over the refined mesh of the block's difference-quotient term at t."""
     d = block.dim
-    points = params.mesh_points if d <= 3 else (9 if d == 4 else 5)
+    points = _MESH_POINTS if d <= 3 else (9 if d == 4 else 5)
     base = -2.0 * float(lb @ wb) / t
     center = np.zeros(d)
-    radius = params.radius
+    radius = _RADIUS
     best_val = math.inf
-    for level in range(params.refine_levels + 1):
-        V = _mesh(center, radius, points, params.radius)
+    for level in range(_REFINE_LEVELS + 1):
+        V = _mesh(center, radius, points, _RADIUS)
         pts = yb[None, :] + t * wb[None, :] + t * t * V
         mags = np.abs(yb)[None, :] + t * np.abs(wb)[None, :] + t * t * np.abs(V)
-        feas = _block_feasible(block.kind, pts, mags, params.feas_eps)
+        feas = _block_feasible(block.kind, pts, mags, _FEAS_EPS)
         if not np.any(feas):
             if level == 0:
                 return math.inf
@@ -602,7 +592,7 @@ def _block_inner_min(block: ConeBlock, yb, lb, wb, t: float, params: OracleParam
             best_val = float(vals[k])
             center = V[feas][k]
         radius = 2.0 * radius / (points - 1)  # one old cell around the incumbent
-        points = params.refine_points
+        points = _REFINE_POINTS
     return best_val
 
 
@@ -611,7 +601,6 @@ def dq_oracle_second_subderivative(
     y: np.ndarray,
     lam: np.ndarray,
     w: np.ndarray,
-    params: OracleParams | None = None,
 ) -> float:
     """Numerical second subderivative via second-order difference quotients.
 
@@ -620,14 +609,13 @@ def dq_oracle_second_subderivative(
     recovery point exists on the grid (w outside the critical cone,
     numerically).  Product cones decompose blockwise.
     """
-    params = params or OracleParams()
     y = _check_dim(cone, y, "y")
     lam = _check_dim(cone, lam, "lam")
     w = _check_dim(cone, w, "w")
-    for t in reversed(params.t_grid()):  # smallest t first
+    for t in reversed(_T_GRID):  # smallest t first
         total = 0.0
         for block, sl in cone.slices():
-            val = _block_inner_min(block, y[sl], lam[sl], w[sl], t, params)
+            val = _block_inner_min(block, y[sl], lam[sl], w[sl], t)
             if math.isinf(val):
                 total = math.inf
                 break

@@ -87,7 +87,7 @@ class SRCQResult:
     certificate: str
     witness: np.ndarray | None
     conclusive: bool
-    primal_crosscheck: bool | None = None  # polyhedral instances only
+    primal_crosscheck: bool | None = None  # None: not polyhedral, or out of row budget
 
 
 @dataclass(frozen=True)
@@ -472,8 +472,9 @@ def _srcq_sampled(K: CriticalCone, B, cfg: DiagnosticsConfig):
     return None
 
 
-def _srcq_primal(p: ProblemSpec, K: CriticalCone, J) -> bool:
-    """Primal form on polyhedral structure: range(J) + K covers ±e_i."""
+def _srcq_primal(p: ProblemSpec, K: CriticalCone, J) -> bool | None:
+    """Primal form on polyhedral structure: range(J) + K covers ±e_i.
+    None (not checked) when elimination runs out of its row budget."""
     n, m = p.n, p.m
     E, G = K.eq, K.ineq
     for i in range(m):
@@ -496,7 +497,7 @@ def _srcq_primal(p: ProblemSpec, K: CriticalCone, J) -> bool:
                 if not polyhedra.is_feasible(poly):
                     return False
             except BudgetExceeded:
-                return False
+                return None
     return True
 
 

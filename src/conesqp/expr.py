@@ -232,7 +232,11 @@ def parse(text: str, n: int) -> ExprAST:
     """Parse ``text`` over variables x1..xn into an AST."""
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    return ExprAST(_Parser(text, n).parse(), n)
+    parser = _Parser(text, n)
+    try:
+        return ExprAST(parser.parse(), n)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +286,25 @@ def eval2(ast: ExprAST, x: np.ndarray) -> SecondOrderValue:
     Exact (up to rounding) for polynomial input; division requires a
     nonzero denominator at the evaluation point.
     """
-    v, g, h = _eval(ast.root, _point(ast, x), ast.n, True)
+    v, g, h = _eval_root(ast, x, True)
     h = 0.5 * (h + h.T)
     return SecondOrderValue(v, g, h)
 
 
 def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Value and gradient of ``ast`` at ``x``, bit for bit those of ``eval2``."""
-    v, g, _ = _eval(ast.root, _point(ast, x), ast.n, False)
+    v, g, _ = _eval_root(ast, x, False)
     return v, g
 
 
-def _point(ast: ExprAST, x) -> np.ndarray:
+def _eval_root(ast: ExprAST, x, hess: bool):
     x = np.asarray(x, dtype=float)
     if x.shape != (ast.n,):
         raise ValueError(f"point has shape {x.shape}, expected ({ast.n},)")
-    return x
+    try:
+        return _eval(ast.root, x, ast.n, hess)
+    except RecursionError:
+        raise EvalError("expression nested too deeply to evaluate") from None
 
 
 def _eval(node: Node, x: np.ndarray, n: int, hess: bool):

@@ -1,14 +1,14 @@
 """Exact desk-scale polyhedral computations via Fourier-Motzkin elimination.
 
-Systems are ``{x : a_ub @ x <= b_ub, a_eq @ x == b_eq}``.  Equalities are
-removed first by Gaussian elimination (x = T z + q over the free
-variables), inequalities are then projected variable by variable.  This
-gives exact feasibility tests, exact ranges of linear functionals
-(including unboundedness), and feasible points by back-substitution.
-Intended for the small systems that arise from multiplier sets and
-critical-cone faces; a row budget guards against blowup and surfaces as
-``BudgetExceeded`` so callers can report an inconclusive verdict instead
-of a wrong one.
+Systems are ``{x : a_ub @ x <= b_ub, a_eq @ x == b_eq}``.  ``Polyhedron.build``
+removes the equalities once, by Gaussian elimination (x = T z + q over the
+free variables); every query then projects the inequalities ``A z <= b``
+variable by variable.  This gives exact feasibility tests, exact ranges of
+linear functionals (including unboundedness), and feasible points by
+back-substitution.  Intended for the small systems that arise from
+multiplier sets and critical-cone faces; a row budget guards against blowup
+and surfaces as ``BudgetExceeded`` so callers can report an inconclusive
+verdict instead of a wrong one.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 _TOL = 1e-9
 _DEDUP_DECIMALS = 10
+_ROW_BUDGET = 50_000  # rows one elimination step may create
 
 
 class BudgetExceeded(RuntimeError):
@@ -29,15 +30,24 @@ class Infeasible(Exception):
     """Internal signal: a contradictory constant constraint appeared."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Polyhedron:
+    """The system, and its equalities reduced at ``tol``: ``x = T z + q``
+    with ``A z <= b``.  ``T`` is None when the equalities are inconsistent.
+    Queries decide at the same ``tol``."""
+
     a_ub: np.ndarray
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
+    tol: float
+    T: np.ndarray | None
+    q: np.ndarray | None
+    A: np.ndarray | None
+    b: np.ndarray | None
 
     @staticmethod
-    def build(dim: int, a_ub=None, b_ub=None, a_eq=None, b_eq=None) -> "Polyhedron":
+    def build(dim: int, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = _TOL) -> "Polyhedron":
         def rows(mat):
             if mat is None:
                 return np.zeros((0, dim))
@@ -56,14 +66,17 @@ class Polyhedron:
         b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float).reshape(-1)
         if a_ub.shape[0] != b_ub.shape[0] or a_eq.shape[0] != b_eq.shape[0]:
             raise ValueError("row counts of matrices and right-hand sides disagree")
-        return Polyhedron(a_ub, b_ub, a_eq, b_eq)
+        T, q, ok = _reduce_equalities(a_eq, b_eq, tol)
+        if not ok:
+            return Polyhedron(a_ub, b_ub, a_eq, b_eq, tol, None, None, None, None)
+        return Polyhedron(a_ub, b_ub, a_eq, b_eq, tol, T, q, a_ub @ T, b_ub - a_ub @ q)
 
     @property
     def dim(self) -> int:
-        return self.a_ub.shape[1] if self.a_ub.size or self.a_ub.shape[1] else self.a_eq.shape[1]
+        return self.a_ub.shape[1]
 
 
-def _reduce_equalities(a_eq: np.ndarray, b_eq: np.ndarray, tol: float = _TOL):
+def _reduce_equalities(a_eq: np.ndarray, b_eq: np.ndarray, tol: float):
     """Return (T, q, ok): solutions of a_eq x = b_eq are x = T z + q.
 
     ``ok`` is False when the system is inconsistent at tolerance ``tol``
@@ -124,7 +137,7 @@ def _clean_rows(A: np.ndarray, b: np.ndarray, tol: float):
     return A, b
 
 
-def _eliminate_last(A: np.ndarray, b: np.ndarray, tol: float, budget: int):
+def _eliminate_last(A: np.ndarray, b: np.ndarray, tol: float):
     """Fourier-Motzkin elimination of the last column."""
     j = A.shape[1] - 1
     col = A[:, j]
@@ -138,14 +151,14 @@ def _eliminate_last(A: np.ndarray, b: np.ndarray, tol: float, budget: int):
     bp = b[pos] / col[pos]
     An = A[neg] / (-col[neg, None])
     bn = b[neg] / (-col[neg])
-    if Ap.shape[0] * An.shape[0] + A_zero.shape[0] > budget:
+    if Ap.shape[0] * An.shape[0] + A_zero.shape[0] > _ROW_BUDGET:
         raise BudgetExceeded(f"fourier-motzkin would create {Ap.shape[0] * An.shape[0]} rows")
     new_A = (Ap[:, None, :j] + An[None, :, :j]).reshape(Ap.shape[0] * An.shape[0], j)
     new_b = (bp[:, None] + bn[None, :]).reshape(-1)
     return _clean_rows(np.vstack([A_zero, new_A]), np.concatenate([b_zero, new_b]), tol)
 
 
-def _elimination_stack(A: np.ndarray, b: np.ndarray, tol: float, budget: int):
+def _elimination_stack(A: np.ndarray, b: np.ndarray, tol: float):
     """Systems after eliminating trailing variables one at a time.
 
     Returns list of (A_k, b_k) over the first k variables, k = dim .. 0.
@@ -154,55 +167,44 @@ def _elimination_stack(A: np.ndarray, b: np.ndarray, tol: float, budget: int):
     A, b = _clean_rows(A.copy(), b.copy(), tol)
     out = [(A, b)]
     while A.shape[1] > 0:
-        A, b = _eliminate_last(A, b, tol, budget)
+        A, b = _eliminate_last(A, b, tol)
         out.append((A, b))
     return out
 
 
-def is_feasible(poly: Polyhedron, tol: float = _TOL, budget: int = 50_000) -> bool:
-    T, q, ok = _reduce_equalities(poly.a_eq, poly.b_eq, tol)
-    if not ok:
+def is_feasible(poly: Polyhedron) -> bool:
+    if poly.T is None:
         return False
-    A = poly.a_ub @ T
-    b = poly.b_ub - poly.a_ub @ q
     try:
-        _elimination_stack(A, b, tol, budget)
+        _elimination_stack(poly.A, poly.b, poly.tol)
     except Infeasible:
         return False
     return True
 
 
-def functional_range(
-    poly: Polyhedron, c: np.ndarray, tol: float = _TOL, budget: int = 50_000
-):
+def functional_range(poly: Polyhedron, c: np.ndarray):
     """Exact range (lo, hi) of c @ x over the polyhedron, or None if empty.
 
     Unbounded sides come back as -inf / +inf.
     """
-    c = np.asarray(c, float)
-    T, q, ok = _reduce_equalities(poly.a_eq, poly.b_eq, tol)
-    if not ok:
+    if poly.T is None:
         return None
-    return _reduced_range(poly.a_ub @ T, poly.b_ub - poly.a_ub @ q, T, q, c, tol, budget)
-
-
-def _reduced_range(A, b, T, q, c, tol, budget):
-    """``functional_range`` after the equalities are gone: x = T z + q with
-    ``A z <= b``."""
-    cz = c @ T
-    c0 = float(c @ q)
+    c = np.asarray(c, float)
+    A, tol = poly.A, poly.tol
+    cz = c @ poly.T
+    c0 = float(c @ poly.q)
     # introduce t = cz . z as a trailing variable, then project everything else
     k = A.shape[1]
     A_aug = np.hstack([A, np.zeros((A.shape[0], 1))])
     rows = np.vstack(
         [A_aug, np.concatenate([cz, [-1.0]]), np.concatenate([-cz, [1.0]])]
     )
-    rhs = np.concatenate([b, [0.0, 0.0]])
+    rhs = np.concatenate([poly.b, [0.0, 0.0]])
     # reorder so t is the first column (it must survive elimination)
     perm = np.concatenate([[k], np.arange(k)]).astype(int)
     rows = rows[:, perm]
     try:
-        stack = _elimination_stack(rows, rhs, tol, budget)
+        stack = _elimination_stack(rows, rhs, tol)
     except Infeasible:
         return None
     A1, b1 = stack[-2]  # single remaining variable: t
@@ -215,15 +217,13 @@ def _reduced_range(A, b, T, q, c, tol, budget):
     return lo + c0, hi + c0
 
 
-def feasible_point(poly: Polyhedron, tol: float = _TOL, budget: int = 50_000):
+def feasible_point(poly: Polyhedron):
     """Some point of the polyhedron, or None if empty."""
-    T, q, ok = _reduce_equalities(poly.a_eq, poly.b_eq, tol)
-    if not ok:
+    if poly.T is None:
         return None
-    A = poly.a_ub @ T
-    b = poly.b_ub - poly.a_ub @ q
+    A, tol = poly.A, poly.tol
     try:
-        stack = _elimination_stack(A, b, tol, budget)
+        stack = _elimination_stack(A, poly.b, tol)
     except Infeasible:
         return None
     k = A.shape[1]
@@ -240,7 +240,7 @@ def feasible_point(poly: Polyhedron, tol: float = _TOL, budget: int = 50_000):
                 elif a < -tol:
                     lo = max(lo, r / a)
         z[i] = _pick(lo, hi)
-    return T @ z + q
+    return poly.T @ z + poly.q
 
 
 def nonzero_points(poly: Polyhedron, coords):
@@ -248,33 +248,30 @@ def nonzero_points(poly: Polyhedron, coords):
     the polyhedron, a point of it with ``x_j = +1`` (or ``-1``) when one is
     found.
 
-    The equalities are reduced once for all coordinates.  An inconsistent
-    reduction, or one that leaves no free variable and a zero on every
-    requested coordinate (the polyhedron is at most that one point), has no
-    point to offer.  Otherwise the search stops at the first coordinate whose
-    range comes back empty, for the same reason.
+    An inconsistent reduction, or one that leaves no free variable and a zero
+    on every requested coordinate (the polyhedron is at most that one point),
+    has no point to offer.  Otherwise the search stops at the first
+    coordinate whose range comes back empty, for the same reason.
     """
     coords = list(coords)
-    T, q, ok = _reduce_equalities(poly.a_eq, poly.b_eq)
-    if not ok or (T.shape[1] == 0 and np.all(np.abs(q[coords]) <= _TOL)):
+    tol = poly.tol
+    if poly.T is None or (poly.T.shape[1] == 0 and np.all(np.abs(poly.q[coords]) <= tol)):
         return
-    A = poly.a_ub @ T
-    b = poly.b_ub - poly.a_ub @ q
     for j in coords:
         c = np.zeros(poly.dim)
         c[j] = 1.0
-        rng = _reduced_range(A, b, T, q, c, _TOL, 50_000)
+        rng = functional_range(poly, c)
         if rng is None:
             return
-        if rng[1] > _TOL:
+        if rng[1] > tol:
             target = 1.0
-        elif rng[0] < -_TOL:
+        elif rng[0] < -tol:
             target = -1.0
         else:
             continue
         pinned = Polyhedron.build(
             poly.dim, a_ub=poly.a_ub, b_ub=poly.b_ub,
-            a_eq=np.vstack([poly.a_eq, c]), b_eq=np.concatenate([poly.b_eq, [target]]),
+            a_eq=np.vstack([poly.a_eq, c]), b_eq=np.concatenate([poly.b_eq, [target]]), tol=tol,
         )
         point = feasible_point(pinned)
         if point is not None:

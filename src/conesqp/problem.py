@@ -75,7 +75,6 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class LagrangianData:
-    L: float
     grad_obj: np.ndarray  # gradient of the objective alone
     grad_x: np.ndarray
     hess_xx: np.ndarray
@@ -108,7 +107,6 @@ def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
     f_val, jac_f, f_hess = constraint_data(p, z.x)
     hess = obj.hessian + np.tensordot(z.lam, f_hess, axes=1)
     return LagrangianData(
-        L=obj.value + float(f_val @ z.lam),
         grad_obj=obj.gradient,
         grad_x=obj.gradient + jac_f.T @ z.lam,
         hess_xx=0.5 * (hess + hess.T),
@@ -188,13 +186,6 @@ def _multiplier_parametrization(p: ProblemSpec, y: np.ndarray, tol: float):
     return B, neg_idx, None
 
 
-def _tolerance_edge(what: str) -> MultiplierSetAnalysis:
-    return MultiplierSetAnalysis(
-        "inconclusive", True, False, None, None,
-        f"multiplier set at a tolerance edge: feasible, but elimination gave {what}",
-    )
-
-
 def multiplier_set_analysis(
     p: ProblemSpec, x: np.ndarray, tol: float = STATIONARITY_TOL
 ) -> MultiplierSetAnalysis:
@@ -220,21 +211,24 @@ def multiplier_set_analysis(
     a_ub = np.zeros((len(neg_idx), k))
     for r, j in enumerate(neg_idx):
         a_ub[r, j] = 1.0
-    poly = Polyhedron.build(k, a_ub=a_ub, b_ub=np.zeros(len(neg_idx)), a_eq=a_eq, b_eq=b_eq)
     eqtol = tol * (1.0 + float(np.linalg.norm(grad)))
+    poly = Polyhedron.build(k, a_ub=a_ub, b_ub=np.zeros(len(neg_idx)), a_eq=a_eq, b_eq=b_eq,
+                            tol=eqtol)
     try:
-        if not polyhedra.is_feasible(poly, tol=eqtol):
-            return MultiplierSetAnalysis("exact", False, False, None, None, "no multiplier exists")
-        v0 = polyhedra.feasible_point(poly, tol=eqtol)
+        v0 = polyhedra.feasible_point(poly)
         if v0 is None:
-            return _tolerance_edge("no feasible point")
+            return MultiplierSetAnalysis("exact", False, False, None, None, "no multiplier exists")
         box = []
         width_tol = 1e-9 * (1.0 + float(np.linalg.norm(B @ v0)))
         unique = True
         for i in range(p.m):
-            rng = polyhedra.functional_range(poly, B[i], tol=eqtol)
+            rng = polyhedra.functional_range(poly, B[i])
             if rng is None:
-                return _tolerance_edge(f"an empty range of lam[{i}]")
+                return MultiplierSetAnalysis(
+                    "inconclusive", True, False, None, None,
+                    f"multiplier set at a tolerance edge: feasible, but elimination gave "
+                    f"an empty range of lam[{i}]",
+                )
             box.append((rng[0], rng[1]))
             width = rng[1] - rng[0]
             if not math.isfinite(width) or width > width_tol:

@@ -54,12 +54,14 @@ class RegistryEntry:
 
 def problem_from_dict(doc: dict, source: str = "<dict>") -> ProblemSpec:
     def need(key, where, obj):
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{source}: {where[:-1] or 'the document'} must be a JSON object")
         if key not in obj:
             raise SchemaError(f"{source}: missing field {where}{key!r}")
         return obj[key]
 
-    name = str(doc.get("name", Path(source).stem))
     n = need("n", "", doc)
+    name = str(doc.get("name", Path(source).stem))
     if not isinstance(n, int) or n < 1:
         raise SchemaError(f"{source}: field 'n' must be a positive integer")
     objective = expr.parse(str(need("objective", "", doc)), n)

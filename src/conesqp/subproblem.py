@@ -19,7 +19,7 @@ engines are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +99,6 @@ class SubproblemSolution:
     lam: np.ndarray | None = None
     residual: float = float("inf")
     engine: str = ""
-    kkt_points: tuple = field(default=(), repr=False)  # enumeration only
 
 
 def kkt_residual(data: SubproblemData, d: np.ndarray, lam: np.ndarray) -> float:
@@ -408,10 +407,7 @@ def solve_subproblem(
         points = enumerate_kkt_points(data)
         if points:
             d, lam = _nearest(points, hint)
-            return SubproblemSolution(
-                KKT_POINT, d, lam, kkt_residual(data, d, lam), ENGINE_ENUMERATION,
-                kkt_points=tuple(points),
-            )
+            return SubproblemSolution(KKT_POINT, d, lam, kkt_residual(data, d, lam), ENGINE_ENUMERATION)
         if _linearized_feasible(data) is False:
             return SubproblemSolution(INFEASIBLE, engine=ENGINE_ENUMERATION)
         return SubproblemSolution(NO_KKT_POINT, engine=ENGINE_ENUMERATION)

@@ -52,6 +52,31 @@ class TestListAndLoad:
         assert run(["solve", str(path)]) == 2
         assert "cone" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"n": 1, "objective": "x1", "constraints": [5],
+         "cone": {"blocks": [{"kind": "orthant", "dim": 1}]}},
+        {"n": 1, "objective": "x1", "constraints": [{"expr": "x1"}], "cone": 7},
+        {"n": 1, "objective": "x1", "constraints": [{"expr": "x1"}], "cone": {"blocks": [7]}},
+        {"n": 1, "objective": "x1", "constraints": [{"expr": "x1"}],
+         "cone": {"blocks": [{"kind": "orthant", "dim": 1}]}, "reference": 3},
+    ], ids=["document", "constraint", "cone", "block", "reference"])
+    def test_non_object_exits_2(self, doc, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(doc))
+        assert run(["solve", str(path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("objective", ["-" * 3000 + "x1", "x1" + "+x1" * 3000],
+                             ids=["parse", "evaluate"])
+    def test_deeply_nested_expression_exits_2(self, objective, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"n": 1, "objective": objective,
+                                    "constraints": [{"expr": "x1"}],
+                                    "cone": {"blocks": [{"kind": "orthant", "dim": 1}]}}))
+        assert run(["solve", str(path)]) == 2
+        assert "error: expression nested too deeply" in capsys.readouterr().err
+
     def test_unknown_problem_exits_2(self, capsys):
         assert run(["solve", "no_such_problem"]) == 2
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conesqp import cones
-from conesqp.cones import ConeBlock, OracleParams
+from conesqp.cones import ConeBlock
 
 SOC3 = cones.second_order(3)
 ORTH2 = cones.orthant(2)
@@ -320,7 +320,6 @@ class TestSpecValidation:
         assert [b.dim for b in cone.blocks] == [2, 4]
 
     def test_oracle_params_grid(self):
-        params = OracleParams()
-        grid = params.t_grid()
+        grid = cones._T_GRID
         assert grid[0] == 1e-2 and len(grid) == 11
         assert grid[-1] == pytest.approx(1e-2 * 2.0**-10)

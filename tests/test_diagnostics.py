@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conesqp import cones, diagnostics, problem
+from conesqp import cones, diagnostics, polyhedra, problem
 from conesqp.diagnostics import (
     CALM,
     INCONCLUSIVE,
@@ -268,6 +268,16 @@ class TestClassify:
         monkeypatch.setattr(problem, "lagrangian_data", counting)
         classify_stationary_point(reg["ex55"].problem, KKTPair([0.0], [0.0]), CFG)
         assert len(calls) == 1
+
+    def test_budget_exhausted_crosscheck_is_not_checked(self, reg, monkeypatch):
+        def out_of_budget(poly):
+            raise polyhedra.BudgetExceeded("fourier-motzkin would create 99999 rows")
+
+        monkeypatch.setattr(polyhedra, "is_feasible", out_of_budget)
+        p = reg["qp_orthant"].problem
+        rep = classify_stationary_point(p, p.reference, CFG)
+        assert rep.srcq.primal_crosscheck is None
+        assert rep.failures == ()
 
     def test_full_registry_zero_failures_with_probe(self, reg):
         cfg = DiagnosticsConfig()

@@ -86,12 +86,13 @@ def test_random_box_ranges_exact(rng):
         assert got_hi == pytest.approx(want_hi, abs=1e-8)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
+    monkeypatch.setattr(polyhedra, "_ROW_BUDGET", 50)
     rng = np.random.default_rng(0)
     A = rng.normal(size=(40, 8))
     P = Polyhedron.build(8, a_ub=A, b_ub=np.ones(40))
     with pytest.raises(BudgetExceeded):
-        functional_range(P, np.ones(8), budget=50)
+        functional_range(P, np.ones(8))
 
 
 def _nonzero_points_reference(poly, coords):
@@ -182,3 +183,62 @@ def test_nonzero_points_skip_ranges_on_a_pattern_pinned_at_zero(monkeypatch):
     )
     assert list(polyhedra.nonzero_points(P, range(4))) == []
     assert calls == []
+
+
+def _oracle_polyhedron(rng, kind):
+    """A seeded random polyhedron of one of three kinds."""
+    d = int(rng.integers(1, 5))  # small enough that elimination stays inside its row budget
+    a_ub = rng.normal(size=(int(rng.integers(0, d + 3)), d))
+    b_ub = rng.normal(size=a_ub.shape[0])
+    a_eq, b_eq = np.zeros((0, d)), np.zeros(0)
+    if kind == "random" and rng.random() < 0.5:  # inside a simplex: both sides bounded
+        a_ub = np.vstack([a_ub[:2], -np.eye(d), np.ones((1, d))])
+        b_ub = np.concatenate([b_ub[:2] - 1.0, np.ones(d), [1.0]])
+    if kind == "degenerate":  # a cone with repeated and parallel rows: every vertex at 0
+        if a_ub.shape[0]:
+            a_ub = np.vstack([a_ub, a_ub[:1], 3.0 * a_ub[-1:]])
+        b_ub = np.zeros(a_ub.shape[0])
+    elif kind == "equalities":  # consistent equalities, one of them redundant when k >= 2
+        x0 = rng.normal(size=d)
+        a_eq = rng.normal(size=(int(rng.integers(1, d + 1)), d))
+        if a_eq.shape[0] >= 2:
+            a_eq = np.vstack([a_eq, a_eq[0] - 2.0 * a_eq[1]])
+        b_eq = a_eq @ x0
+        if rng.random() < 0.7:  # x0 strictly inside the inequalities
+            b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, size=a_ub.shape[0])
+    return Polyhedron.build(d, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+@pytest.mark.parametrize("kind", ["random", "degenerate", "equalities"])
+def test_against_linprog(kind):
+    """Differential oracle: HiGHS linear programs give the same feasibility
+    verdicts and ranges (bounded and unbounded sides), and every returned
+    point lies in the polyhedron."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        P = _oracle_polyhedron(rng, kind)
+        d, a_ub, b_ub, a_eq, b_eq = P.dim, P.a_ub, P.b_ub, P.a_eq, P.b_eq
+
+        def lp(c):
+            return linprog(c, A_ub=a_ub if a_ub.size else None, b_ub=b_ub if a_ub.size else None,
+                           A_eq=a_eq if a_eq.size else None, b_eq=b_eq if a_eq.size else None,
+                           bounds=[(None, None)] * d, method="highs")
+
+        feasible = lp(np.zeros(d)).status == 0
+        assert is_feasible(P) == feasible
+        point = feasible_point(P)
+        if not feasible:
+            assert point is None and functional_range(P, np.ones(d)) is None
+            continue
+        scale = 1.0 + np.abs(point).max()
+        assert np.all(a_ub @ point <= b_ub + 1e-8 * scale)
+        assert np.allclose(a_eq @ point, b_eq, atol=1e-8 * scale)
+        c = rng.normal(size=d)
+        lo, hi = functional_range(P, c)
+        for side, res in ((lo, lp(c)), (-hi, lp(-c))):
+            assert res.status in (0, 3)
+            if res.status == 3:
+                assert side == -np.inf
+            else:
+                assert side == pytest.approx(res.fun, abs=1e-7 * (1.0 + abs(res.fun)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conesqp import cones, expr, problem
+from conesqp import cones, expr, polyhedra, problem
 from conesqp.problem import KKTPair, ProblemSpec
 
 
@@ -97,11 +97,24 @@ class TestMultiplierSet:
         assert np.allclose(out.sample, [1.0, 0.0, -1.0], atol=1e-9)
 
     def test_empty_range_after_feasible_is_inconclusive(self, reg, monkeypatch):
-        # at a tolerance edge the range can come back empty after is_feasible said yes
+        # at a tolerance edge the range can come back empty after a feasible point was found
         monkeypatch.setattr(problem.polyhedra, "functional_range", lambda *a, **k: None)
         out = problem.multiplier_set_analysis(reg["qp_orthant"].problem, np.array([1.0, 0.0]))
         assert out.status == "inconclusive"
         assert "tolerance edge" in out.reason
+
+    def test_equalities_reduced_once(self, reg, monkeypatch):
+        calls = []
+        reduce = polyhedra._reduce_equalities
+
+        def counting(*args):
+            calls.append(args)
+            return reduce(*args)
+
+        monkeypatch.setattr(polyhedra, "_reduce_equalities", counting)
+        out = problem.multiplier_set_analysis(reg["qp_orthant"].problem, np.array([1.0, 0.0]))
+        assert out.status == "exact" and out.unique
+        assert len(calls) == 1
 
     def test_nonstationary_point_reports_empty(self, ex55):
         out = problem.multiplier_set_analysis(ex55, np.array([1.0]))
