@@ -405,6 +405,45 @@ class CriticalCone:
             H[sl, sl] = bc.curvature(self.y[sl])
         return H
 
+    def multiplier_basis(self) -> tuple[np.ndarray, list[int]] | None:
+        """``(B, nonpos)`` with ``N_C(y) = {B v : v[nonpos] <= 0}``, the
+        normal cone of the constraint cone at y; None when a second-order
+        block sits at its apex, where N_C(y) is no polyhedral image.
+
+        Reads only which faces are active, so it depends on y, not on lam.
+        """
+        m = self.cone.total_dim
+        eye = np.eye(m)
+        cols: list[np.ndarray] = []
+        nonpos: list[int] = []
+        for bc, (block, sl) in zip(self.blocks, self.cone.slices()):
+            if block.kind == ZERO:
+                cols.extend(eye[sl])
+            elif block.kind == ORTHANT:
+                for i, ck in zip(range(sl.start, sl.stop), bc.coord_kinds):
+                    if ck != "free":  # active: lam_i <= 0
+                        nonpos.append(len(cols))
+                        cols.append(eye[i])
+            elif bc.kind in ("hyperplane", "halfspace"):
+                col = np.zeros(m)
+                col[sl] = -bc.normal  # lam = mu * a with mu >= 0, written as v * (-a), v <= 0
+                nonpos.append(len(cols))
+                cols.append(col)
+            elif bc.kind != "full":
+                return None
+        return np.array(cols).T.reshape(m, len(cols)), nonpos
+
+    @property
+    def strictly_complementary(self) -> bool:
+        """lam lies in the relative interior of the normal cone on every
+        second-order block: the block is inside the cone, on its boundary
+        with ``-lam_d > 0``, or at the apex with lam interior to the polar."""
+        return all(
+            bc.kind in ("full", "hyperplane", "point")
+            for bc, (block, _) in zip(self.blocks, self.cone.slices())
+            if block.kind == SOC
+        )
+
 
 def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = 1e-8) -> CriticalCone:
     y = _check_dim(cone, y, "y")
@@ -500,11 +539,6 @@ def second_subderivative(
         return math.inf
     H = K.curvature_matrix()
     return float(w @ H @ w)
-
-
-def curvature_matrix(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Quadratic-form matrix of the second subderivative on its domain."""
-    return critical_cone(cone, y, lam, tol).curvature_matrix()
 
 
 def proto_derivative_contains(

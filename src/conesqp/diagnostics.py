@@ -48,7 +48,7 @@ PROBE_INDETERMINATE = "indeterminate"
 
 _SSOC_THRESHOLD = 1e-8
 _FACE_BUDGET = 14  # at most 2**_FACE_BUDGET face patterns
-_TOL = 1e-8  # KKT gate, multiplier set analysis and strict complementarity
+_TOL = 1e-8  # KKT gate
 _SAMPLE_COUNT = 100  # safety-net samples for non-polyhedral searches
 PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _PROBE_BALL = 0.5  # probe solutions farther than this from the point are ignored
@@ -126,8 +126,12 @@ class DiagnosticsReport:
     failures: tuple[str, ...] = field(default=())
 
 
-def _gate(p: ProblemSpec, z: KKTPair) -> LagrangianData:
-    """The Lagrangian data of z, once its KKT residual passes the gate."""
+def _gate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, CriticalCone]:
+    """The Lagrangian data of z and its critical cone, once z passes the gate.
+
+    The critical cone decides, once per point, which faces are active; every
+    check below reads that decision from it.
+    """
     data = problem_mod.lagrangian_data(p, z)
     res = problem_mod._kkt_residual_of(p, z, data)
     scale = 1.0 + float(np.linalg.norm(z.lam))
@@ -135,11 +139,11 @@ def _gate(p: ProblemSpec, z: KKTPair) -> LagrangianData:
         raise ValueError(
             f"point is not a KKT solution: residual {res.total:.3e} exceeds gate {_TOL * scale:.3e}"
         )
-    return data
-
-
-def _critical_cone(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> CriticalCone:
-    return cones.critical_cone(p.cone, data.f_val, z.lam, tol=1e-7)
+    try:
+        K = cones.critical_cone(p.cone, data.f_val, z.lam, problem_mod.FACE_TOL)
+    except ValueError as exc:
+        raise ValueError(f"point is not a KKT solution: {exc}") from exc
+    return data, K
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +158,7 @@ def check_ssoc(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     otherwise.
     """
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z)
-    return _ssoc(p, data, _critical_cone(p, z, data), cfg)
+    return _ssoc(p, *_gate(p, z), cfg)
 
 
 def _ssoc(
@@ -233,8 +236,7 @@ def check_noncriticality(
     sampled search and can only certify criticality, not its absence.
     """
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z)
-    return _noncriticality(p, data, _critical_cone(p, z, data), cfg)
+    return _noncriticality(p, *_gate(p, z), cfg)
 
 
 def _noncriticality(
@@ -402,8 +404,7 @@ def _noncrit_sampled(p, data, K: CriticalCone, Q, J, Hc, cfg: DiagnosticsConfig)
 def check_srcq(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None) -> SRCQResult:
     """Triviality of ``K* ∩ ker jac_f^T`` at the KKT point."""
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z)
-    return _srcq(p, data, _critical_cone(p, z, data), cfg)
+    return _srcq(p, *_gate(p, z), cfg)
 
 
 def _srcq(
@@ -509,27 +510,14 @@ def check_multiplier_calmness(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig
     """Calm for polyhedral cones; otherwise strict complementarity is the
     only sufficient condition implemented, anything else is Inconclusive.
     No ``cfg`` setting changes this check; it shares the ``check_*`` signature."""
-    return _multiplier_calmness(p, z, _gate(p, z))
+    return _multiplier_calmness(p, _gate(p, z)[1])
 
 
-def _multiplier_calmness(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> CalmnessResult:
+def _multiplier_calmness(p: ProblemSpec, K: CriticalCone) -> CalmnessResult:
     if p.cone.is_polyhedral:
         return CalmnessResult(CALM, "polyhedral constraint cone (Hoffman bound)")
-    y = data.f_val
-    lscale = 1.0 + float(np.linalg.norm(z.lam))
-    for block, sl in p.cone.slices():
-        if block.kind != cones.SOC:
-            continue
-        case = cones._soc_case(y[sl], _TOL)
-        lb = z.lam[sl]
-        if case == "interior":
-            continue  # lam block is 0, trivially interior to {0}
-        if case == "boundary":
-            if -lb[-1] <= _TOL * lscale:
-                return CalmnessResult(INCONCLUSIVE, "strict complementarity fails")
-        else:  # apex: lam must be interior to the polar cone
-            if not (float(np.linalg.norm(lb[:-1])) < -lb[-1] - _TOL * lscale):
-                return CalmnessResult(INCONCLUSIVE, "strict complementarity fails")
+    if not K.strictly_complementary:
+        return CalmnessResult(INCONCLUSIVE, "strict complementarity fails")
     return CalmnessResult(CALM, "strict complementarity on every active second-order block")
 
 
@@ -702,11 +690,7 @@ def probe_isolated_calmness(
 
 def _classify_profile(samples: list[RadiusSample]):
     by_radius = {s.radius: s.max_ratio for s in samples}
-    big = by_radius.get(1e-2)
-    small = by_radius.get(1e-6)
-    if big is None or small is None:
-        radii = sorted(by_radius)
-        big, small = by_radius[radii[-1]], by_radius[radii[0]]
+    big, small = by_radius[1e-2], by_radius[1e-6]
     if big == 0.0 and small == 0.0:
         return PROBE_BOUNDED, 1.0
     growth = small / max(big, 1e-300)
@@ -737,13 +721,12 @@ def classify_stationary_point(
     profile is also flagged.  Violations are FAILURE artifacts.
     """
     cfg = cfg or DiagnosticsConfig()
-    data = _gate(p, z)
-    K = _critical_cone(p, z, data)
+    data, K = _gate(p, z)
     ssoc = _ssoc(p, data, K, cfg)
     srcq = _srcq(p, data, K, cfg)
     noncrit = _noncriticality(p, data, K, cfg)
-    calm = _multiplier_calmness(p, z, data)
-    msa = problem_mod.multiplier_set_analysis(p, z.x, tol=_TOL)
+    calm = _multiplier_calmness(p, K)
+    msa = problem_mod._multipliers_of(p, data.grad_obj, data.jac_f, K)
     unique: bool | None = msa.unique if msa.status == "exact" else None
     probe = probe_isolated_calmness(p, z, cfg) if cfg.run_probe else None
 

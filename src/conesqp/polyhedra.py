@@ -84,6 +84,7 @@ def _reduce_equalities(a_eq: np.ndarray, b_eq: np.ndarray, tol: float):
     """
     dim = a_eq.shape[1]
     A = np.hstack([a_eq.astype(float), b_eq.reshape(-1, 1).astype(float)])
+    origin = np.arange(A.shape[0])  # the a_eq row each row of A started as
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(dim):
@@ -93,13 +94,14 @@ def _reduce_equalities(a_eq: np.ndarray, b_eq: np.ndarray, tol: float):
         if abs(A[k, col]) <= tol * (1.0 + np.max(np.abs(A[k, :dim]), initial=0.0)):
             continue
         A[[row, k]] = A[[k, row]]
+        origin[[row, k]] = origin[[k, row]]
         A[row] /= A[row, col]
         mask = np.arange(A.shape[0]) != row
         A[mask] -= np.outer(A[mask, col], A[row])
         pivots.append((row, col))
         row += 1
     for r in range(row, A.shape[0]):
-        scale = 1.0 + float(np.max(np.abs(a_eq[min(r, a_eq.shape[0] - 1)]), initial=0.0)) + abs(A[r, -1])
+        scale = 1.0 + float(np.max(np.abs(a_eq[origin[r]]), initial=0.0)) + abs(A[r, -1])
         if abs(A[r, -1]) > tol * scale:
             return None, None, False
     pivot_cols = [c for _, c in pivots]

@@ -19,6 +19,7 @@ from .expr import ExprAST
 from .polyhedra import BudgetExceeded, Polyhedron
 
 STATIONARITY_TOL = 1e-8
+FACE_TOL = 1e-7  # which coordinates and second-order blocks count as active
 
 
 @dataclass(frozen=True)
@@ -144,51 +145,7 @@ class MultiplierSetAnalysis:
     reason: str = ""
 
 
-def _multiplier_parametrization(p: ProblemSpec, y: np.ndarray, tol: float):
-    """Linear parametrization lam = B v (+ sign constraints on v) of the
-    normal cone at y, when every block admits one.
-
-    Returns (B, neg_idx, None) with columns of B spanning the candidate
-    multipliers; v[neg_idx] <= 0.  Returns (None, None, reason) when a
-    second-order block sits at its apex (the normal cone is not a
-    polyhedral image there).
-    """
-    m = p.m
-    cols: list[np.ndarray] = []
-    neg_idx: list[int] = []
-    yscale = 1.0 + float(np.linalg.norm(y))
-    for block, sl in p.cone.slices():
-        yb = y[sl]
-        if block.kind == cones.ZERO:
-            for i in range(sl.start, sl.stop):
-                e = np.zeros(m)
-                e[i] = 1.0
-                cols.append(e)
-        elif block.kind == cones.ORTHANT:
-            for i in range(sl.start, sl.stop):
-                if y[i] <= tol * yscale:  # active: lam_i <= 0
-                    e = np.zeros(m)
-                    e[i] = 1.0
-                    neg_idx.append(len(cols))
-                    cols.append(e)
-        else:
-            case = cones._soc_case(yb, tol)
-            if case == "interior":
-                continue  # lam block forced to zero
-            if case == "apex":
-                return None, None, "second-order block at its apex"
-            a = cones._soc_boundary_normal(yb)
-            col = np.zeros(m)
-            col[sl] = -a  # lam = mu * a with mu >= 0, written as v * (-a), v <= 0
-            neg_idx.append(len(cols))
-            cols.append(col)
-    B = np.array(cols).T.reshape(m, len(cols))
-    return B, neg_idx, None
-
-
-def multiplier_set_analysis(
-    p: ProblemSpec, x: np.ndarray, tol: float = STATIONARITY_TOL
-) -> MultiplierSetAnalysis:
+def multiplier_set_analysis(p: ProblemSpec, x: np.ndarray) -> MultiplierSetAnalysis:
     """Exact nonemptiness / uniqueness / per-coordinate bounds of the
     multiplier set at x, by eliminating the stationarity equations over the
     facially-parametrized normal cone.
@@ -196,13 +153,32 @@ def multiplier_set_analysis(
     x = np.asarray(x, float)
     _, grad = expr.eval1(p.objective, x)
     f_val, jac_f = constraint_values(p, x)
-    B, neg_idx, reason = _multiplier_parametrization(p, f_val, tol)
-    if B is None:
-        return MultiplierSetAnalysis("inconclusive", False, False, None, None, reason)
+    try:
+        # N_C(y) is the polar of the critical cone K(y, 0), the tangent cone
+        K = cones.critical_cone(p.cone, f_val, np.zeros(p.m), FACE_TOL)
+    except ValueError:
+        return MultiplierSetAnalysis(
+            "inconclusive", False, False, None, None, "f(x) lies outside the cone beyond tolerance"
+        )
+    return _multipliers_of(p, grad, jac_f, K)
+
+
+def _multipliers_of(
+    p: ProblemSpec, grad: np.ndarray, jac_f: np.ndarray, K: cones.CriticalCone
+) -> MultiplierSetAnalysis:
+    """``multiplier_set_analysis`` from the gradient, the Jacobian and the
+    critical cone at the point, which fixes the active faces."""
+    basis = K.multiplier_basis()
+    if basis is None:
+        return MultiplierSetAnalysis(
+            "inconclusive", False, False, None, None, "second-order block at its apex"
+        )
+    B, neg_idx = basis
+    eqtol = STATIONARITY_TOL * (1.0 + float(np.linalg.norm(grad)))
     k = B.shape[1]
     if k == 0:
         # no active structure anywhere: the only candidate multiplier is zero
-        if float(np.linalg.norm(grad)) <= tol * (1.0 + float(np.linalg.norm(grad))):
+        if float(np.linalg.norm(grad)) <= eqtol:
             box = tuple((0.0, 0.0) for _ in range(p.m))
             return MultiplierSetAnalysis("exact", True, True, np.zeros(p.m), box, "")
         return MultiplierSetAnalysis("exact", False, False, None, None, "no multiplier exists")
@@ -211,7 +187,6 @@ def multiplier_set_analysis(
     a_ub = np.zeros((len(neg_idx), k))
     for r, j in enumerate(neg_idx):
         a_ub[r, j] = 1.0
-    eqtol = tol * (1.0 + float(np.linalg.norm(grad)))
     poly = Polyhedron.build(k, a_ub=a_ub, b_ub=np.zeros(len(neg_idx)), a_eq=a_eq, b_eq=b_eq,
                             tol=eqtol)
     try:

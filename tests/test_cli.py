@@ -163,6 +163,17 @@ class TestDiagnoseCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not path.exists()
 
+    def test_point_outside_cone_is_not_a_kkt_solution(self, tmp_path, capsys):
+        # y = -1e-6 passes the residual gate (scaled by |lam| = 1000) but lies
+        # outside the cone at the face tolerance; the gate turns it away
+        doc = {"name": "lin", "n": 1, "objective": "-1000*x1", "constraints": [{"expr": "-x1"}],
+               "cone": {"blocks": [{"kind": "orthant", "dim": 1}]}}
+        path = tmp_path / "lin.json"
+        path.write_text(json.dumps(doc))
+        assert run(["diagnose", str(path), "--x", "1e-6", "--lam", "-1000", "--no-probe"]) == 2
+        err = capsys.readouterr().err
+        assert "not a KKT solution" in err and "Traceback" not in err
+
     def test_point_needs_both_x_and_lam(self, capsys):
         # a lone --x or --lam must not fall back to the reference point
         assert run(["diagnose", "ex55", "--x", "0", "--no-probe"]) == 2

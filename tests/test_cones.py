@@ -133,6 +133,28 @@ class TestCriticalCone:
             d = cones.distance(SOC3, Y_BD + t * w)
             assert d <= 30 * t * t  # quadratic shortfall only
 
+    def test_multiplier_basis_columns(self):
+        # zero block: free e_0; active orthant coordinate: e_1, nonpositive;
+        # inactive coordinate: nothing; boundary block: -(ybar/|ybar|, -1)
+        cone = cones.product(cones.zero(1), cones.orthant(2), SOC3)
+        y = np.concatenate([[0.0, 0.0, 1.0], Y_BD])
+        B, nonpos = cones.critical_cone(cone, y, np.zeros(6)).multiplier_basis()
+        want = np.zeros((6, 3))
+        want[0, 0] = want[1, 1] = 1.0
+        want[3:, 2] = [-1.0, 0.0, 1.0]
+        assert np.array_equal(B, want) and nonpos == [1, 2]
+        interior = cones.critical_cone(SOC3, np.array([0.0, 0.0, 1.0]), np.zeros(3))
+        assert interior.multiplier_basis()[0].shape == (3, 0)
+        assert cones.critical_cone(SOC3, np.zeros(3), np.zeros(3)).multiplier_basis() is None
+
+    def test_strict_complementarity_by_block_kind(self):
+        apex = np.zeros(3)
+        assert cones.critical_cone(SOC3, Y_BD, LAM_BD).strictly_complementary  # hyperplane
+        assert not cones.critical_cone(SOC3, Y_BD, np.zeros(3)).strictly_complementary
+        assert cones.critical_cone(SOC3, apex, np.array([0.0, 0.0, -1.0])).strictly_complementary
+        assert not cones.critical_cone(SOC3, apex, LAM_BD).strictly_complementary  # ray
+        assert not cones.critical_cone(SOC3, apex, apex).strictly_complementary
+
     def test_non_normal_multiplier_rejected(self):
         with pytest.raises(ValueError, match="normal"):
             cones.critical_cone_contains(ORTH2, np.array([0.0, 1.0]), np.array([1.0, 0.0]),

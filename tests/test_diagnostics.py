@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conesqp import cones, diagnostics, polyhedra, problem
+from conesqp import cones, diagnostics, expr, polyhedra, problem
 from conesqp.diagnostics import (
     CALM,
     INCONCLUSIVE,
@@ -17,7 +17,7 @@ from conesqp.diagnostics import (
     classify_stationary_point,
     probe_isolated_calmness,
 )
-from conesqp.problem import KKTPair
+from conesqp.problem import KKTPair, ProblemSpec
 
 CFG = DiagnosticsConfig(run_probe=False)
 
@@ -46,6 +46,11 @@ def brute_force_ssoc(p, z, n_dirs=10_000, seed=0):
         if K.contains(data.jac_f @ w, tol=1e-9):
             best = min(best, float(w @ Q @ w))
     return best
+
+
+def spec(name, objective, constraints, cone, n):
+    return ProblemSpec(name, n, expr.parse(objective, n),
+                       tuple(expr.parse(c, n) for c in constraints), cone)
 
 
 class TestSSOC:
@@ -93,6 +98,14 @@ class TestSSOC:
         with pytest.raises(ValueError, match="not a KKT solution"):
             check_ssoc(reg["ex55"].problem, KKTPair([1.0], [0.0]), CFG)
 
+    def test_apex_with_zero_multiplier_is_sampled(self):
+        # min 0.5|x|^2 over SOC3 at the origin: the critical cone is the whole
+        # second-order cone, so only a sampled bound is available
+        p = spec("apex", "0.5*(x1^2 + x2^2 + x3^2)", ["x1", "x2", "x3"], cones.second_order(3), 3)
+        out = check_ssoc(p, KKTPair(np.zeros(3), np.zeros(3)), CFG)
+        assert not out.conclusive
+        assert out.min_value == pytest.approx(1.0, abs=1e-12)
+
 
 class TestNoncriticality:
     def test_ex55_origin_noncritical(self, reg):
@@ -117,6 +130,12 @@ class TestNoncriticality:
         out = check_noncriticality(reg["critical_toy"].problem, KKTPair([0.0], [0.0]), CFG)
         assert out.noncritical and out.conclusive
 
+    def test_apex_with_zero_multiplier_sampled_noncritical(self):
+        p = spec("apex", "0.5*(x1^2 + x2^2 + x3^2)", ["x1", "x2", "x3"], cones.second_order(3), 3)
+        out = check_noncriticality(p, KKTPair(np.zeros(3), np.zeros(3)), CFG)
+        assert out.noncritical and not out.conclusive
+        assert "sampled" in out.reason
+
     def test_soc_points_noncritical(self, reg):
         for name in ("soc_toy", "soc_degenerate"):
             p = reg[name].problem
@@ -133,7 +152,7 @@ class TestNoncriticality:
                 if not (exact.conclusive and exact.noncritical):
                     continue
                 data = problem.lagrangian_data(p, kp.point)
-                K = diagnostics._critical_cone(p, kp.point, data)
+                K = diagnostics._gate(p, kp.point)[1]
                 J = data.jac_f
                 Hc = K.curvature_matrix()
                 Q = data.hess_xx + J.T @ Hc @ J
@@ -184,6 +203,15 @@ class TestMultiplierCalmness:
         out = check_multiplier_calmness(reg["soc_toy"].problem, reg["soc_toy"].problem.reference, CFG)
         assert out.verdict == CALM
         assert "strict complementarity" in out.reason
+
+    def test_vanishing_boundary_multiplier_inconclusive(self, reg):
+        # mu = 5e-8 is below the face tolerance, so the critical cone is the
+        # halfspace of a non-strictly complementary pair
+        soc = reg["soc_toy"].problem
+        p = ProblemSpec("soc_edge", 2, expr.parse("-5e-8*x1", 2), soc.constraints, soc.cone)
+        out = check_multiplier_calmness(p, KKTPair([1.0, 0.0], [5e-8, 0.0, -5e-8]), CFG)
+        assert out.verdict == INCONCLUSIVE
+        assert "strict complementarity fails" in out.reason
 
     def test_degenerate_multiplier_inconclusive(self, reg):
         out = check_multiplier_calmness(
@@ -268,6 +296,29 @@ class TestClassify:
         monkeypatch.setattr(problem, "lagrangian_data", counting)
         classify_stationary_point(reg["ex55"].problem, KKTPair([0.0], [0.0]), CFG)
         assert len(calls) == 1
+
+    def test_no_second_evaluation_without_probe(self, reg, monkeypatch):
+        calls = []
+        evaluate = expr.eval1
+
+        def counting(e, x):
+            calls.append(x)
+            return evaluate(e, x)
+
+        monkeypatch.setattr(expr, "eval1", counting)
+        p = reg["qp_orthant"].problem
+        classify_stationary_point(p, p.reference, CFG)
+        assert calls == []
+
+    def test_faces_decided_once(self):
+        # y = (5e-8, -5e-8) sits within the face tolerance of both facets, so
+        # both count as active for every check alike: the multiplier set is
+        # the ray lam = (t, t - 20), t <= 0, and no verdict contradicts another
+        p = spec("split", "-20*x1", ["x1", "-x1"], cones.orthant(2), 1)
+        rep = classify_stationary_point(p, KKTPair([5e-8], [0.0, -20.0]), CFG)
+        assert rep.failures == ()
+        assert rep.lambda_unique is False
+        assert not rep.srcq.holds and rep.srcq.conclusive
 
     def test_budget_exhausted_crosscheck_is_not_checked(self, reg, monkeypatch):
         def out_of_budget(poly):

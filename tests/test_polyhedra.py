@@ -54,6 +54,15 @@ def test_unique_point_from_overdetermined_equalities():
     assert np.allclose(feasible_point(P), [2.0, 3.0])
 
 
+def test_leftover_equality_is_scaled_by_its_own_row():
+    # x = 1 + 1e-6 misses 1e6 x = 1e6 by 1e-6: the leftover row's consistency
+    # test reads that row's own magnitude, whichever order the rows come in
+    for a_eq, b_eq in (([[1.0], [1e6]], [1.0 + 1e-6, 1e6]), ([[1e6], [1.0]], [1e6, 1.0 + 1e-6])):
+        P = Polyhedron.build(1, a_eq=a_eq, b_eq=b_eq)
+        assert not is_feasible(P), a_eq
+        assert feasible_point(P) is None, a_eq
+
+
 def test_random_feasibility_against_sampling(rng):
     for _ in range(200):
         d = int(rng.integers(1, 4))

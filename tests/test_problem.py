@@ -116,6 +116,11 @@ class TestMultiplierSet:
         assert out.status == "exact" and out.unique
         assert len(calls) == 1
 
+    def test_point_outside_cone_is_inconclusive(self, ex55):
+        # f(x) = -1 lies outside the orthant: there are no active faces to read
+        out = problem.multiplier_set_analysis(ex55, np.array([-1.0]))
+        assert out.status == "inconclusive" and "outside the cone" in out.reason
+
     def test_nonstationary_point_reports_empty(self, ex55):
         out = problem.multiplier_set_analysis(ex55, np.array([1.0]))
         assert out.status == "exact" and not out.nonempty

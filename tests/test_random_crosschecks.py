@@ -102,7 +102,7 @@ def test_sampled_witnesses_imply_enumerated_criticality(rng):
         if not out.conclusive:
             continue
         data = problem.lagrangian_data(p, z)
-        K = diagnostics._critical_cone(p, z, data)
+        K = diagnostics._gate(p, z)[1]
         J = data.jac_f
         Hc = K.curvature_matrix()
         Q = data.hess_xx + J.T @ Hc @ J
@@ -144,3 +144,72 @@ def test_domain_law_on_random_instances(rng):
             val = cones.second_subderivative(p.cone, data.f_val, z.lam, w)
             inside = cones.critical_cone_contains(p.cone, data.f_val, z.lam, w)
             assert math.isfinite(val) == inside
+
+
+def _reference_parametrization(cone, y, tol):
+    """The normal cone at y as ``lam = B v, v[neg] <= 0``, walked block by
+    block from y alone, as the multiplier analysis built it before the
+    critical cone carried the face decision; None at a second-order apex."""
+    m = cone.total_dim
+    cols, neg = [], []
+    yscale = 1.0 + float(np.linalg.norm(y))
+    for block, sl in cone.slices():
+        if block.kind == cones.ZERO:
+            for i in range(sl.start, sl.stop):
+                e = np.zeros(m)
+                e[i] = 1.0
+                cols.append(e)
+        elif block.kind == cones.ORTHANT:
+            for i in range(sl.start, sl.stop):
+                if y[i] <= tol * yscale:
+                    e = np.zeros(m)
+                    e[i] = 1.0
+                    neg.append(len(cols))
+                    cols.append(e)
+        else:
+            case = cones._soc_case(y[sl], tol)
+            if case == "interior":
+                continue
+            if case == "apex":
+                return None
+            col = np.zeros(m)
+            col[sl] = -cones._soc_boundary_normal(y[sl])
+            neg.append(len(cols))
+            cols.append(col)
+    return np.array(cols).T.reshape(m, len(cols)), neg
+
+
+def _reference_strictly_complementary(cone, y, lam, tol):
+    lscale = 1.0 + float(np.linalg.norm(lam))
+    for block, sl in cone.slices():
+        if block.kind != cones.SOC:
+            continue
+        case = cones._soc_case(y[sl], tol)
+        lb = lam[sl]
+        if case == "boundary" and -lb[-1] <= tol * lscale:
+            return False
+        if case == "apex" and not float(np.linalg.norm(lb[:-1])) < -lb[-1] - tol * lscale:
+            return False
+    return True
+
+
+def test_multiplier_basis_matches_reference_parametrization(rng):
+    # the gate's critical cone and the tangent-cone one of the multiplier
+    # analysis give the block walk's columns, signs and order, bit for bit
+    seen = set()
+    for trial in range(80):
+        p, z = random_kkt_instance(rng)
+        data, K = diagnostics._gate(p, z)
+        tangent = cones.critical_cone(p.cone, data.f_val, np.zeros(p.m), problem.FACE_TOL)
+        want = _reference_parametrization(p.cone, data.f_val, 1e-8)
+        seen.add(want is None)
+        for cone_at in (K, tangent):
+            got = cone_at.multiplier_basis()
+            if want is None:
+                assert got is None, trial
+            else:
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1], trial
+        assert K.strictly_complementary == _reference_strictly_complementary(
+            p.cone, data.f_val, z.lam, 1e-8
+        ), trial
+    assert seen == {True, False}  # apex blocks and parametrizable points both occur

@@ -137,6 +137,21 @@ class TestSolveStatuses:
         auto = solve_subproblem(data, hint)
         assert auto.status == KKT_POINT and auto.engine == ENGINE_SPLITTING
 
+    def test_forced_newton_unbounded_by_exact_ray(self):
+        # min -d over d >= 0: no KKT point, and the polyhedral ray search
+        # certifies the descent ray d = 1
+        data = SubproblemData(np.zeros((1, 1)), np.array([-1.0]), np.eye(1), np.zeros(1),
+                              cones.orthant(1))
+        sol = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_NEWTON))
+        assert sol.status == UNBOUNDED and sol.engine == ENGINE_NEWTON
+
+    def test_forced_newton_infeasible(self):
+        # zero-cone rows asking for d = 0 and d = 1 at once
+        data = SubproblemData(np.eye(1), np.zeros(1), np.array([[1.0], [1.0]]),
+                              np.array([0.0, -1.0]), cones.zero(2))
+        sol = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_NEWTON))
+        assert sol.status == INFEASIBLE and sol.engine == ENGINE_NEWTON
+
 
 class TestEngineAgreement:
     def test_splitting_matches_enumeration_on_objective(self, rng):
