@@ -327,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("problem")
         sp.add_argument("--x", type=str, default=None)
         sp.add_argument("--lam", type=str, default=None)
-        sp.add_argument("--jobs", type=int, default=1, help="threads for the probe's samples")
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepts only 1: the probe runs serially")
 
     sp = sub.add_parser("solve", help="run the SQP iteration on a problem")
     sp.add_argument("problem", help="registry name or JSON problem file")
@@ -371,9 +372,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

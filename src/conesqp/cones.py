@@ -27,6 +27,11 @@ SOC = "soc"
 
 _KINDS = (ZERO, ORTHANT, SOC)
 
+# The one tolerance of the tests no caller tunes.  ``contains``,
+# ``critical_cone``, ``CriticalCone.contains`` and ``proto_derivative_contains``
+# default to it and take their own, for callers that decide at another.
+_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ConeBlock:
@@ -184,35 +189,26 @@ def distance(cone: ConeSpec, y: np.ndarray) -> float:
     return float(np.linalg.norm(y - project(cone, y)))
 
 
-def contains(cone: ConeSpec, y: np.ndarray, tol: float = 1e-8) -> bool:
+def contains(cone: ConeSpec, y: np.ndarray, tol: float = _TOL) -> bool:
     y = _check_dim(cone, y, "y")
     scale = 1.0 + float(np.linalg.norm(y))
     return distance(cone, y) <= tol * scale
 
 
-def normal_cone_residual(
-    cone: ConeSpec,
-    y: np.ndarray,
-    lam: np.ndarray,
-    tol: float = 1e-8,
-    require_membership: bool = True,
-) -> float:
-    """``||y - proj(y + lam)||``; zero (up to tol) iff lam is normal at y.
-
-    With ``require_membership`` the query point must lie in the cone; pass
-    False to evaluate the raw residual at infeasible points (as the KKT
-    residual does, reporting feasibility separately).
-    """
+def normal_cone_residual(cone: ConeSpec, y: np.ndarray, lam: np.ndarray) -> float:
+    """``||y - proj(y + lam)||``, defined at any y; zero iff y lies in the
+    cone and lam is normal there."""
     y = _check_dim(cone, y, "y")
     lam = _check_dim(cone, lam, "lam")
-    if require_membership and not contains(cone, y, tol):
-        raise ValueError("y lies outside the cone beyond tolerance")
     return float(np.linalg.norm(y - project(cone, y + lam)))
 
 
-def is_normal(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = 1e-8) -> bool:
-    scale = 1.0 + float(np.linalg.norm(lam))
-    return normal_cone_residual(cone, y, lam, tol) <= tol * scale
+def _require_normal(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float) -> None:
+    """Raise ValueError unless y lies in the cone and lam is normal at y, within tol."""
+    if not contains(cone, y, tol):
+        raise ValueError("y lies outside the cone beyond tolerance")
+    if normal_cone_residual(cone, y, lam) > tol * (1.0 + float(np.linalg.norm(lam))):
+        raise ValueError("lam is not a normal vector at y (within tolerance)")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +234,7 @@ def _soc_boundary_normal(block_y: np.ndarray) -> np.ndarray:
     return a
 
 
-def tangent_cone_contains(cone: ConeSpec, y: np.ndarray, w: np.ndarray, tol: float = 1e-8) -> bool:
+def tangent_cone_contains(cone: ConeSpec, y: np.ndarray, w: np.ndarray) -> bool:
     """Closed-form blockwise tangent-cone membership test."""
     y = _check_dim(cone, y, "y")
     w = _check_dim(cone, w, "w")
@@ -247,43 +243,36 @@ def tangent_cone_contains(cone: ConeSpec, y: np.ndarray, w: np.ndarray, tol: flo
     for block, sl in cone.slices():
         yb, wb = y[sl], w[sl]
         if block.kind == ZERO:
-            if np.any(np.abs(wb) > tol * wscale):
+            if np.any(np.abs(wb) > _TOL * wscale):
                 return False
         elif block.kind == ORTHANT:
-            active = yb <= tol * yscale
-            if np.any(wb[active] < -tol * wscale):
+            active = yb <= _TOL * yscale
+            if np.any(wb[active] < -_TOL * wscale):
                 return False
         else:
-            case = _soc_case(yb, tol)
+            case = _soc_case(yb, _TOL)
             if case == "interior":
                 continue
             if case == "apex":
                 r = float(np.linalg.norm(wb[:-1]))
-                if r > wb[-1] + tol * wscale:
+                if r > wb[-1] + _TOL * wscale:
                     return False
             else:
                 a = _soc_boundary_normal(yb)
-                if float(a @ wb) > tol * wscale:
+                if float(a @ wb) > _TOL * wscale:
                     return False
     return True
 
 
-def critical_cone_contains(
-    cone: ConeSpec,
-    y: np.ndarray,
-    lam: np.ndarray,
-    w: np.ndarray,
-    tol: float = 1e-8,
-) -> bool:
+def critical_cone_contains(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, w: np.ndarray) -> bool:
     """True iff w is tangent at y and orthogonal to the normal vector lam."""
     y = _check_dim(cone, y, "y")
     lam = _check_dim(cone, lam, "lam")
     w = _check_dim(cone, w, "w")
-    if not is_normal(cone, y, lam, tol):
-        raise ValueError("lam is not a normal vector at y (within tolerance)")
-    if not tangent_cone_contains(cone, y, w, tol):
+    _require_normal(cone, y, lam, _TOL)
+    if not tangent_cone_contains(cone, y, w):
         return False
-    bound = tol * (1.0 + float(np.linalg.norm(lam)) * float(np.linalg.norm(w)))
+    bound = _TOL * (1.0 + float(np.linalg.norm(lam)) * float(np.linalg.norm(w)))
     return abs(float(lam @ w)) <= bound
 
 
@@ -373,7 +362,7 @@ class CriticalCone:
     def is_polyhedral(self) -> bool:
         return not self.soc_block_slices
 
-    def contains(self, w: np.ndarray, tol: float = 1e-8) -> bool:
+    def contains(self, w: np.ndarray, tol: float = _TOL) -> bool:
         w = _check_dim(self.cone, w, "w")
         scale = 1.0 + float(np.linalg.norm(w))
         if self.eq.size and np.any(np.abs(self.eq @ w) > tol * scale):
@@ -445,11 +434,10 @@ class CriticalCone:
         )
 
 
-def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = 1e-8) -> CriticalCone:
+def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = _TOL) -> CriticalCone:
     y = _check_dim(cone, y, "y")
     lam = _check_dim(cone, lam, "lam")
-    if not is_normal(cone, y, lam, tol):
-        raise ValueError("lam is not a normal vector at y (within tolerance)")
+    _require_normal(cone, y, lam, tol)
     yscale = 1.0 + float(np.linalg.norm(y))
     lscale = 1.0 + float(np.linalg.norm(lam))
     blocks: list[BlockCriticalCone] = []
@@ -519,13 +507,7 @@ def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = 1
 # Second subderivative of the indicator and the normal-cone proto-derivative
 
 
-def second_subderivative(
-    cone: ConeSpec,
-    y: np.ndarray,
-    lam: np.ndarray,
-    w: np.ndarray,
-    tol: float = 1e-8,
-) -> float:
+def second_subderivative(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, w: np.ndarray) -> float:
     """Closed-form second subderivative of the indicator at (y, lam) in direction w.
 
     Infinite outside the critical cone.  On the critical cone, polyhedral
@@ -533,9 +515,9 @@ def second_subderivative(
     point with multiplier ``mu*(ybar/||ybar||, -1)`` contributes
     ``(mu/y_d)(||wbar||^2 - (ybar.wbar)^2/y_d^2)``.
     """
-    K = critical_cone(cone, y, lam, tol)
+    K = critical_cone(cone, y, lam)
     w = _check_dim(cone, w, "w")
-    if not K.contains(w, tol):
+    if not K.contains(w):
         return math.inf
     H = K.curvature_matrix()
     return float(w @ H @ w)
@@ -547,7 +529,7 @@ def proto_derivative_contains(
     lam: np.ndarray,
     w: np.ndarray,
     u: np.ndarray,
-    tol: float = 1e-8,
+    tol: float = _TOL,
 ) -> bool:
     """Membership test for the graphical derivative of the normal-cone map.
 
@@ -581,6 +563,9 @@ _RADIUS = 5.0
 _MESH_POINTS = 21
 _REFINE_LEVELS = 6
 _REFINE_POINTS = 11
+# A refinement level holds several arrays of _REFINE_POINTS**d points by d
+# coordinates: about 0.1 GB each at d = 6 and 1.1 GB at d = 7.
+_ORACLE_MAX_DIM = 6
 # Membership is decided at roundoff scale relative to the magnitudes entering
 # each coordinate of y + t w + t^2 v, so a coordinate that is exactly zero
 # admits no slack at all (the indicator is exact there).
@@ -641,11 +626,18 @@ def dq_oracle_second_subderivative(
     Independent of the closed forms in :func:`second_subderivative`: only
     cone membership tests enter.  Returns ``math.inf`` when no feasible
     recovery point exists on the grid (w outside the critical cone,
-    numerically).  Product cones decompose blockwise.
+    numerically).  Product cones decompose blockwise; each block may have
+    at most ``_ORACLE_MAX_DIM`` coordinates, else ValueError.
     """
     y = _check_dim(cone, y, "y")
     lam = _check_dim(cone, lam, "lam")
     w = _check_dim(cone, w, "w")
+    for i, block in enumerate(cone.blocks):
+        if block.dim > _ORACLE_MAX_DIM:
+            raise ValueError(
+                f"difference-quotient oracle meshes blocks of dimension at most {_ORACLE_MAX_DIM}; "
+                f"block {i} ({block.kind}{block.dim}) has dimension {block.dim}"
+            )
     for t in reversed(_T_GRID):  # smallest t first
         total = 0.0
         for block, sl in cone.slices():
@@ -725,10 +717,9 @@ def sample_critical_direction(
     y: np.ndarray,
     lam: np.ndarray,
     rng: np.random.Generator,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Random direction in the critical cone at (y, lam), of norm <= ~1.5."""
-    K = critical_cone(cone, y, lam, tol)
+    K = critical_cone(cone, y, lam)
     w = K.project(rng.normal(size=cone.total_dim))
     nrm = np.linalg.norm(w)
     if nrm > 1.5:

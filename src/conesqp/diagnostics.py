@@ -26,7 +26,6 @@ biconditional with conclusive inputs is reported as a FAILURE artifact.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -59,7 +58,11 @@ class DiagnosticsConfig:
     seed: int = 0
     probe_samples: int = 8  # random directions per radius, besides the axes
     run_probe: bool = True
-    jobs: int = 1
+    jobs: int = 1  # the probe runs serially; kept, at 1 only, for perfbench's calls
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1 (the probe runs serially), got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -258,9 +261,12 @@ def _noncriticality(
     witness = _noncrit_sampled(p, data, K, Q, J, Hc, cfg)
     if witness is not None:
         return NoncriticalityResult(False, witness, conclusive=True)
-    return NoncriticalityResult(
-        True, None, conclusive=False, reason="sampled search only (apex second-order block)"
-    )
+    if K.is_polyhedral:
+        reason = (f"sampled search only ({G.shape[0]} inequality rows exceed the face budget "
+                  f"of {_FACE_BUDGET})")
+    else:
+        reason = "sampled search only (apex second-order block)"
+    return NoncriticalityResult(True, None, conclusive=False, reason=reason)
 
 
 def _noncrit_face_search(p, data, K: CriticalCone, Q, J, Hc):
@@ -525,12 +531,17 @@ def _multiplier_calmness(p: ProblemSpec, K: CriticalCone) -> CalmnessResult:
 # Empirical isolated-calmness probe
 
 
-def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
+def _perturbed_kkt(p: ProblemSpec, x, lam, v, w):
+    """``(r1, r2, y)`` of the tilt/shift perturbed KKT system at (x, lam):
+    stationarity ``r1``, complementarity ``r2`` and the shifted value ``y = f(x) + w``."""
     _, grad = expr.eval1(p.objective, x)
     f_val, jac_f = problem_mod.constraint_values(p, x)
     y = f_val + w
-    r1 = grad - v + jac_f.T @ lam
-    r2 = y - cones.project(p.cone, y + lam)
+    return grad - v + jac_f.T @ lam, y - cones.project(p.cone, y + lam), y
+
+
+def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
+    r1, r2, y = _perturbed_kkt(p, x, lam, v, w)
     return float(np.linalg.norm(r1)) + float(np.linalg.norm(r2)) + cones.distance(p.cone, y)
 
 
@@ -538,12 +549,7 @@ def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
     """Damped semismooth Newton on the tilt/shift perturbed KKT residual."""
 
     def residual(x, lam):
-        _, grad = expr.eval1(p.objective, x)
-        f_val, jac_f = problem_mod.constraint_values(p, x)
-        y = f_val + w
-        return np.concatenate(
-            [grad - v + jac_f.T @ lam, y - cones.project(p.cone, y + lam)]
-        )
+        return np.concatenate(_perturbed_kkt(p, x, lam, v, w)[:2])
 
     def linearize(x, lam):
         data = problem_mod.lagrangian_data(p, KKTPair(x, lam))
@@ -576,21 +582,19 @@ def _pattern_newton(p: ProblemSpec, z: KKTPair, v, w, active, max_iters=60):
     lam_a = z.lam[active].copy()
     na = len(active)
     for _ in range(max_iters):
-        obj = expr.eval2(p.objective, x)
-        f_val, jac_f, f_hess = problem_mod.constraint_data(p, x)
         lam_full = np.zeros(p.m)
         lam_full[active] = lam_a
+        data = problem_mod.lagrangian_data(p, KKTPair(x, lam_full))
         F = np.concatenate(
-            [obj.gradient - v + jac_f.T @ lam_full, f_val[active] + w[active]]
+            [data.grad_obj - v + data.jac_f.T @ lam_full, data.f_val[active] + w[active]]
         )
         if float(np.linalg.norm(F)) <= 1e-12:
             break
-        Hl = obj.hessian + np.tensordot(lam_full, f_hess, axes=1)
         Jm = np.zeros((p.n + na, p.n + na))
-        Jm[: p.n, : p.n] = Hl
+        Jm[: p.n, : p.n] = data.hess_xx
         if na:
-            Jm[: p.n, p.n :] = jac_f[active].T
-            Jm[p.n :, : p.n] = jac_f[active]
+            Jm[: p.n, p.n :] = data.jac_f[active].T
+            Jm[p.n :, : p.n] = data.jac_f[active]
         try:
             step = np.linalg.solve(Jm, -F)
         except np.linalg.LinAlgError:
@@ -620,7 +624,9 @@ def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, rng_seed: int) -> list[KK
         lam0 = z.lam + spread * rng.normal(size=p.m)
         x, lam, res = _newton_perturbed(p, z.x if spread == 0.0 else x0,
                                         z.lam if spread == 0.0 else lam0, v, w)
-        if res <= 1e-9 and _perturbed_residual(p, x, lam, v, w) <= 1e-8:
+        # res bounds both residual parts, and dist(y) <= ||r2|| because
+        # proj(y + lam) lies in the cone: _perturbed_residual is at most 3 res
+        if res <= 1e-9:
             sols.append(KKTPair(x, lam))
     unique: list[KKTPair] = []
     for s in sols:
@@ -649,41 +655,18 @@ def probe_isolated_calmness(
         d = rng.normal(size=dim)
         dirs.append(d / float(np.linalg.norm(d)))
 
-    def run_sample(job):
-        ri, si, radius, direction = job
-        v = radius * direction[: p.n]
-        w = radius * direction[p.n :]
-        sols = _solve_perturbed(p, z, v, w, rng_seed=cfg.seed + 1000 * ri + si)
-        best = 0.0
-        found = 0
-        for s in sols:
-            dist = s.distance_to(z)
-            if dist <= _PROBE_BALL:
-                found += 1
-                best = max(best, dist / radius)
-        return ri, best, found
-
-    jobs = [
-        (ri, si, radius, direction)
-        for ri, radius in enumerate(PROBE_RADII)
-        for si, direction in enumerate(dirs)
-    ]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_sample, jobs))
-    else:
-        results = [run_sample(j) for j in jobs]
     samples = []
     for ri, radius in enumerate(PROBE_RADII):
-        rows = [r for r in results if r[0] == ri]
-        samples.append(
-            RadiusSample(
-                radius=radius,
-                max_ratio=max((r[1] for r in rows), default=0.0),
-                n_solved=sum(r[2] for r in rows),
-                n_samples=len(rows),
-            )
-        )
+        best, found = 0.0, 0
+        for si, direction in enumerate(dirs):
+            v = radius * direction[: p.n]
+            w = radius * direction[p.n :]
+            for s in _solve_perturbed(p, z, v, w, rng_seed=cfg.seed + 1000 * ri + si):
+                dist = s.distance_to(z)
+                if dist <= _PROBE_BALL:
+                    found += 1
+                    best = max(best, dist / radius)
+        samples.append(RadiusSample(radius, best, found, len(dirs)))
     profile, growth = _classify_profile(samples)
     return ProbeResult(tuple(samples), profile, growth)
 

@@ -83,17 +83,6 @@ class LagrangianData:
     jac_f: np.ndarray
 
 
-def constraint_data(p: ProblemSpec, x: np.ndarray):
-    """Values, Jacobian (m x n) and per-component Hessians of f at x."""
-    vals = np.empty(p.m)
-    jac = np.empty((p.m, p.n))
-    hessians = np.empty((p.m, p.n, p.n))
-    for i, c in enumerate(p.constraints):
-        so = expr.eval2(c, x)
-        vals[i], jac[i], hessians[i] = so.value, so.gradient, so.hessian
-    return vals, jac, hessians
-
-
 def constraint_values(p: ProblemSpec, x: np.ndarray):
     """Values and Jacobian (m x n) of f at x, without the Hessians."""
     vals = np.empty(p.m)
@@ -105,7 +94,12 @@ def constraint_values(p: ProblemSpec, x: np.ndarray):
 
 def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
     obj = expr.eval2(p.objective, z.x)
-    f_val, jac_f, f_hess = constraint_data(p, z.x)
+    f_val = np.empty(p.m)
+    jac_f = np.empty((p.m, p.n))
+    f_hess = np.empty((p.m, p.n, p.n))
+    for i, c in enumerate(p.constraints):
+        so = expr.eval2(c, z.x)
+        f_val[i], jac_f[i], f_hess[i] = so.value, so.gradient, so.hessian
     hess = obj.hessian + np.tensordot(z.lam, f_hess, axes=1)
     return LagrangianData(
         grad_obj=obj.gradient,
@@ -124,9 +118,7 @@ def _kkt_residual_of(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> KKTRes
     """``kkt_residual`` from the Lagrangian data of ``z`` already at hand."""
     return KKTResidual(
         stationarity=float(np.linalg.norm(data.grad_x)),
-        complementarity=cones.normal_cone_residual(
-            p.cone, data.f_val, z.lam, require_membership=False
-        ),
+        complementarity=cones.normal_cone_residual(p.cone, data.f_val, z.lam),
         feasibility=cones.distance(p.cone, data.f_val),
     )
 

@@ -105,7 +105,7 @@ def kkt_residual(data: SubproblemData, d: np.ndarray, lam: np.ndarray) -> float:
     """Independent re-verification of the subproblem KKT conditions."""
     stat = float(np.linalg.norm(data.g + data.H @ d + data.A.T @ lam))
     y = data.c + data.A @ d
-    comp = cones.normal_cone_residual(data.cone, y, lam, require_membership=False)
+    comp = cones.normal_cone_residual(data.cone, y, lam)
     feas = cones.distance(data.cone, y)
     return stat + comp + feas
 

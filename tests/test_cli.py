@@ -211,3 +211,12 @@ class TestProbeAndOracleCommands:
     def test_jobs_only_where_the_probe_runs(self, capsys):
         assert run(["solve", "ex55", "--jobs", "2"]) == 2
         assert run(["oracle-check", "--n", "1", "--jobs", "2"]) == 2
+        capsys.readouterr()
+        for command in ("diagnose", "probe-calmness"):  # the probe runs serially
+            assert run([command, "ex55", "--jobs", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: jobs must be 1") and "Traceback" not in err
+
+    def test_oracle_check_refuses_blocks_past_mesh_limit(self, capsys):
+        assert run(["oracle-check", "--cone", "orthant7", "--n", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: difference-quotient oracle")

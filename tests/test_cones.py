@@ -91,8 +91,11 @@ class TestNormalCone:
         assert cones.normal_cone_residual(SOC3, Y_BD, LAM_BD) == pytest.approx(0.0, abs=1e-12)
 
     def test_outside_cone_rejected(self):
+        # the residual is defined at any y; the critical cone needs y in the cone
+        y = np.array([-1.0, 0.0])
+        assert cones.normal_cone_residual(ORTH2, y, np.zeros(2)) == 1.0
         with pytest.raises(ValueError, match="outside"):
-            cones.normal_cone_residual(ORTH2, np.array([-1.0, 0.0]), np.zeros(2))
+            cones.critical_cone(ORTH2, y, np.zeros(2))
 
     def test_variational_inequality_equivalence(self, rng):
         # residual 0 iff <lam, z - y> <= 0 for all z in the cone (sampled)
@@ -106,7 +109,7 @@ class TestNormalCone:
                     assert lam @ (z - y) <= 1e-9 * (1 + np.linalg.norm(z)), name
                 # a perturbed non-normal vector must be flagged
                 bad = lam + cones.project(cone, rng.normal(size=m)) + 0.5
-                if cones.normal_cone_residual(cone, y, bad, require_membership=False) > 1e-6:
+                if cones.normal_cone_residual(cone, y, bad) > 1e-6:
                     violations = 0
                     for _ in range(400):
                         z = cones.sample_point(cone, rng, scale=2.0)
@@ -313,6 +316,12 @@ class TestDifferenceQuotientOracle:
     def test_outside_domain_returns_sentinel(self):
         val = cones.dq_oracle_second_subderivative(SOC3, Y_BD, LAM_BD, np.array([1.0, 0.0, 0.0]))
         assert val == math.inf or val > 1e3
+
+    def test_block_past_mesh_limit_rejected(self):
+        # an 11**7-point refinement mesh would need gigabytes
+        z = np.zeros(7)
+        with pytest.raises(ValueError, match=r"at most 6; block 0 \(orthant7\)"):
+            cones.dq_oracle_second_subderivative(cones.orthant(7), z, z, z)
 
     def test_agreement_with_closed_form(self, rng):
         # the decisive anti-hallucination gate, per cone kind

@@ -136,6 +136,17 @@ class TestNoncriticality:
         assert out.noncritical and not out.conclusive
         assert "sampled" in out.reason
 
+    def test_past_face_budget_reason_names_the_budget(self):
+        # min sum 0.5 x_i^2 over orthant(15) at the origin with lam = 0: the
+        # critical cone is polyhedral with 15 inequality rows, past the budget
+        n = 15
+        objective = " + ".join(f"0.5*x{i}^2" for i in range(1, n + 1))
+        p = spec("orth15", objective, [f"x{i}" for i in range(1, n + 1)], cones.orthant(n), n)
+        out = check_noncriticality(p, KKTPair(np.zeros(n), np.zeros(n)), CFG)
+        assert out.noncritical and not out.conclusive
+        assert "15 inequality rows" in out.reason and "face budget of 14" in out.reason
+        assert "apex" not in out.reason
+
     def test_soc_points_noncritical(self, reg):
         for name in ("soc_toy", "soc_degenerate"):
             p = reg[name].problem
@@ -244,12 +255,24 @@ class TestProbe:
         ratios = [s.max_ratio for s in pr.samples]
         assert max(ratios) <= 3.0 * min(r for r in ratios if r > 0)
 
-    def test_jobs_parallel_matches_serial(self, reg):
-        p = reg["ex55"].problem
-        z = KKTPair([0.0], [0.0])
-        a = probe_isolated_calmness(p, z, DiagnosticsConfig(jobs=1))
-        b = probe_isolated_calmness(p, z, DiagnosticsConfig(jobs=4))
-        assert a == b
+    def test_config_accepts_only_one_job(self):
+        with pytest.raises(ValueError, match="jobs"):
+            DiagnosticsConfig(jobs=2)
+
+    def test_solutions_solve_the_perturbed_system(self, reg):
+        # a Newton start is kept on its residual norm alone, which bounds the
+        # perturbed residual by three times that norm
+        for name, z in (("critical_toy", KKTPair([0.0], [-1.0])),
+                        ("soc_toy", reg["soc_toy"].problem.reference)):
+            p = reg[name].problem
+            found = 0
+            for radius in (1e-2, 1e-6):
+                for d in np.vstack([np.eye(p.n + p.m), -np.eye(p.n + p.m)]):
+                    v, w = radius * d[: p.n], radius * d[p.n :]
+                    for s in diagnostics._solve_perturbed(p, z, v, w, rng_seed=0):
+                        assert diagnostics._perturbed_residual(p, s.x, s.lam, v, w) <= 1e-8, name
+                        found += 1
+            assert found > 0, name
 
 
 class TestClassify:
