@@ -4,7 +4,8 @@ Exports REV (default ``HEAD``) with ``git archive`` into a temporary
 directory, runs ``scripts/registry_reports.py`` and
 ``scripts/degenerate_reports.py`` from that tree and from the working tree
 (two processes at a time), and lists every report file that differs or
-exists on one side only::
+exists on one side only.  A differing file is followed by its unified diff,
+cut after ``DIFF_LINES`` lines::
 
     python scripts/compare_reports.py [REV]
 
@@ -15,6 +16,7 @@ repository.
 
 from __future__ import annotations
 
+import difflib
 import os
 import subprocess
 import sys
@@ -23,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ("registry_reports.py", "degenerate_reports.py")
+DIFF_LINES = 40  # unified-diff lines shown per differing file
 # No bytecode caches in either tree, and one BLAS thread per process.
 ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "OMP_NUM_THREADS": "1",
        "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -37,8 +40,18 @@ def _export(rev: str, dest: Path) -> None:
         raise SystemExit(f"cannot export {rev!r} with git archive")
 
 
+def _diff(a: Path, b: Path) -> list[str]:
+    lines = list(difflib.unified_diff(
+        a.read_text().splitlines(), b.read_text().splitlines(),
+        fromfile=f"revision/{a.name}", tofile=f"working tree/{b.name}", lineterm=""))
+    if len(lines) > DIFF_LINES:
+        lines = lines[:DIFF_LINES] + [f"... {len(lines) - DIFF_LINES} more diff lines"]
+    return ["    " + line for line in lines]
+
+
 def _compare(old: Path, new: Path) -> tuple[int, list[str]]:
-    """The number of file names in either directory, and a line per mismatch."""
+    """The number of file names in either directory, and the mismatches: a
+    line for each, followed by its diff when both sides have the file."""
     names = sorted({f.name for f in old.iterdir()} | {f.name for f in new.iterdir()})
     out = []
     for name in names:
@@ -46,7 +59,7 @@ def _compare(old: Path, new: Path) -> tuple[int, list[str]]:
         if not a.exists() or not b.exists():
             out.append(f"{name}: only in {'working tree' if b.exists() else 'the revision'}")
         elif a.read_bytes() != b.read_bytes():
-            out.append(f"{name}: differs")
+            out.append(f"{name}: differs\n" + "\n".join(_diff(a, b)))
     return len(names), out
 
 

@@ -275,6 +275,8 @@ def _cone_from_name(name: str):
 
 def _cmd_oracle_check(args) -> int:
     cone = _cone_from_name(args.cone)
+    if args.n < 1:
+        raise SchemaError(f"--n must be at least 1, got {args.n}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     checked = 0

@@ -162,6 +162,15 @@ def projection_jacobian(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
     return P
 
 
+PATTERN_BUDGET = 10  # orthant coordinates of an active-pattern search: 2**10 patterns
+
+
+def patterns_within_budget(cone: ConeSpec) -> bool:
+    """Whether subproblem enumeration and the probe's pattern solves may run on the cone."""
+    orthant_dim = sum(b.dim for b in cone.blocks if b.kind == ORTHANT)
+    return cone.is_polyhedral and orthant_dim <= PATTERN_BUDGET
+
+
 def active_patterns(cone: ConeSpec):
     """Every active set of a polyhedral cone, as ``(active, orthant_active, inactive)``.
 

@@ -61,6 +61,8 @@ class DiagnosticsConfig:
     jobs: int = 1  # the probe runs serially; kept, at 1 only, for perfbench's calls
 
     def __post_init__(self):
+        if self.probe_samples < 0:
+            raise ValueError(f"probe_samples must be >= 0, got {self.probe_samples}")
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1 (the probe runs serially), got {self.jobs}")
 
@@ -138,7 +140,7 @@ def _gate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, CriticalCone]:
     data = problem_mod.lagrangian_data(p, z)
     res = problem_mod._kkt_residual_of(p, z, data)
     scale = 1.0 + float(np.linalg.norm(z.lam))
-    if res.total > _TOL * scale:
+    if not res.total <= _TOL * scale:  # a NaN residual fails too
         raise ValueError(
             f"point is not a KKT solution: residual {res.total:.3e} exceeds gate {_TOL * scale:.3e}"
         )
@@ -560,7 +562,7 @@ def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
 
 def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
     """Active-pattern Newton solves of the perturbed KKT system (polyhedral)."""
-    if sum(b.dim for b in p.cone.blocks if b.kind != cones.ZERO) > 10:
+    if not cones.patterns_within_budget(p.cone):
         return []
     out = []
     for active, orth_active, inactive in cones.active_patterns(p.cone):

@@ -15,6 +15,9 @@ engines are provided:
   map, with deterministic multi-start; handles second-order blocks.
 * ``splitting`` -- ADMM on the explicit splitting (direction, cone slack),
   for positive-semidefinite Hessians, polished by a few Newton steps.
+
+Every engine returns a list of KKT points; ``solve_subproblem`` picks the one
+nearest the hint, or classifies an empty list the same way for every engine.
 """
 
 from __future__ import annotations
@@ -37,13 +40,13 @@ ENGINE_ENUMERATION = "Enumeration"
 ENGINE_NEWTON = "SemismoothNewton"
 ENGINE_SPLITTING = "Splitting"
 
-_ENUM_MAX_M = 10
 _TOL = 1e-9  # accepted KKT residual, relative to SubproblemData.scale
 _SIGN_SLACK = 1e-10  # enumeration sign checks, relative to SubproblemData.scale
 _N_STARTS = 50
 _NEWTON_MAX_ITERS = 100
 _ADMM_RHO = 1.0
 _ADMM_MAX_ITERS = 20_000
+_RAY_TRIES = 512  # sampled descent-ray candidates of each kind
 
 
 @dataclass(frozen=True)
@@ -55,20 +58,19 @@ class SubproblemData:
     cone: ConeSpec
 
     def __post_init__(self):
-        H = np.asarray(self.H, float)
-        g = np.asarray(self.g, float)
-        A = np.asarray(self.A, float)
-        c = np.asarray(self.c, float)
-        n = g.shape[0]
-        m = c.shape[0]
+        H, g, A, c = (np.asarray(v, float) for v in (self.H, self.g, self.A, self.c))
+        n, m = g.shape[0], c.shape[0]
         if H.shape != (n, n) or A.shape != (m, n) or self.cone.total_dim != m:
             raise ValueError("inconsistent subproblem dimensions")
+        with np.errstate(over="ignore"):  # nan or inf: a non-finite entry, or an overflowing scale
+            norms = [np.linalg.norm(arr) for arr in (H, g, A, c)]
+        for name, nrm in zip("HgAc", norms):
+            if not np.isfinite(nrm):
+                raise ValueError(f"subproblem {name} is not finite: its norm is {nrm}")
         if np.max(np.abs(H - H.T), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(H), initial=0.0)):
             raise ValueError("H must be symmetric")
-        object.__setattr__(self, "H", 0.5 * (H + H.T))
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "c", c)
+        for name, arr in zip("HgAc", (0.5 * (H + H.T), g, A, c)):
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -124,8 +126,8 @@ def enumerate_kkt_points(data: SubproblemData):
     """
     if not data.cone.is_polyhedral:
         raise ValueError("enumeration requires a purely polyhedral cone")
-    if data.m > _ENUM_MAX_M:
-        raise BudgetExceeded(f"enumeration limited to m <= {_ENUM_MAX_M}, got {data.m}")
+    if not cones.patterns_within_budget(data.cone):
+        raise BudgetExceeded(f"enumeration limited to {cones.PATTERN_BUDGET} orthant coordinates")
     n, m = data.n, data.m
     scale = data.scale
     slack = _SIGN_SLACK * scale
@@ -271,17 +273,18 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
 
 
 def splitting_solve(data: SubproblemData):
-    """ADMM on min g.d + 0.5 d.H.d  s.t.  s = c + A d, s in cone (H psd)."""
+    """ADMM on min g.d + 0.5 d.H.d  s.t.  s = c + A d, s in cone (H psd): ``[(d, lam)]``
+    when the polished point passes the KKT tolerance, ``[]`` otherwise."""
     eigs = np.linalg.eigvalsh(data.H)
     if eigs.min(initial=0.0) < -1e-9 * max(1.0, abs(eigs).max(initial=1.0)):
-        return None
+        return []
     rho = _ADMM_RHO
     n, m = data.n, data.m
     M = data.H + rho * data.A.T @ data.A
     try:
         M_chol = np.linalg.cholesky(M + 1e-14 * np.eye(n) * max(1.0, np.trace(M)))
     except np.linalg.LinAlgError:
-        return None
+        return []
     s = cones.project(data.cone, data.c)
     u = np.zeros(m)
     scale = data.scale
@@ -300,7 +303,7 @@ def splitting_solve(data: SubproblemData):
     lam = rho * u
     # polish: a few Newton steps to machine-precision KKT residual
     d, lam, _ = _newton_from(data, d, lam, 25)
-    return d, lam
+    return [(d, lam)] if kkt_residual(data, d, lam) <= _TOL * scale else []
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +330,7 @@ def _linearized_feasible(data: SubproblemData) -> bool | None:
         return None
 
 
-def _descent_ray(data: SubproblemData, seed: int = 0) -> np.ndarray | None:
+def _descent_ray(data: SubproblemData, seed: int) -> np.ndarray | None:
     """A direction with A d in the cone's recession cone, g.d < 0 and
     nonpositive curvature: an unboundedness certificate.
 
@@ -337,13 +340,9 @@ def _descent_ray(data: SubproblemData, seed: int = 0) -> np.ndarray | None:
     if not data.cone.is_polyhedral:
         return _sampled_descent_ray(data, seed)
     a_eq, a_ub, _ = _cone_rows(data)
-    poly = Polyhedron.build(
-        data.n,
-        a_ub=np.vstack([a_ub, data.g]),  # g.d <= -1
-        b_ub=np.append(np.zeros(a_ub.shape[0]), -1.0),
-        a_eq=a_eq,
-        b_eq=np.zeros(a_eq.shape[0]),
-    )
+    a_ub = np.vstack([a_ub, data.g])  # the recession cone's rows, and g.d <= -1
+    b_ub = np.append(np.zeros(a_ub.shape[0] - 1), -1.0)
+    poly = Polyhedron.build(data.n, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=np.zeros(a_eq.shape[0]))
     try:
         ray = polyhedra.feasible_point(poly)
     except BudgetExceeded:
@@ -353,13 +352,13 @@ def _descent_ray(data: SubproblemData, seed: int = 0) -> np.ndarray | None:
     return None
 
 
-def _sampled_descent_ray(data: SubproblemData, seed: int, tries: int = 512) -> np.ndarray | None:
+def _sampled_descent_ray(data: SubproblemData, seed: int) -> np.ndarray | None:
     rng = np.random.default_rng(seed)
 
     def candidates():
-        for _ in range(tries):
+        for _ in range(_RAY_TRIES):
             yield rng.normal(size=data.n)  # direct direction samples
-        for _ in range(tries):
+        for _ in range(_RAY_TRIES):
             s = cones.sample_point(data.cone, rng)  # pull back a cone sample
             d, *_ = np.linalg.lstsq(data.A, s, rcond=None)
             if float(np.linalg.norm(data.A @ d - s)) <= 1e-10 * (1.0 + float(np.linalg.norm(s))):
@@ -397,50 +396,35 @@ def solve_subproblem(
 
     engine = cfg.engine
     if engine is None:
-        engine = (
-            ENGINE_ENUMERATION
-            if data.cone.is_polyhedral and data.m <= _ENUM_MAX_M
-            else ENGINE_NEWTON
-        )
-
+        engine = ENGINE_ENUMERATION if cones.patterns_within_budget(data.cone) else ENGINE_NEWTON
     if engine == ENGINE_ENUMERATION:
         points = enumerate_kkt_points(data)
+    elif engine == ENGINE_NEWTON:
+        points = semismooth_newton_solve(data, hint, cfg.seed)
+    elif engine == ENGINE_SPLITTING:
+        points = splitting_solve(data)
+    else:
+        raise ValueError(f"unknown subproblem engine {engine!r}")
+    # only the automatic choice falls back to splitting (psd Hessians); a
+    # forced Newton run reports its own failure
+    if not points and cfg.engine is None and engine == ENGINE_NEWTON:
+        points = splitting_solve(data)
         if points:
-            d, lam = _nearest(points, hint)
-            return SubproblemSolution(KKT_POINT, d, lam, kkt_residual(data, d, lam), ENGINE_ENUMERATION)
-        if _linearized_feasible(data) is False:
-            return SubproblemSolution(INFEASIBLE, engine=ENGINE_ENUMERATION)
-        return SubproblemSolution(NO_KKT_POINT, engine=ENGINE_ENUMERATION)
+            engine = ENGINE_SPLITTING
 
-    if engine == ENGINE_SPLITTING:
-        solution = _splitting_point(data)
-        return solution or SubproblemSolution(ITER_LIMIT, engine=ENGINE_SPLITTING)
-
-    # general path: semismooth Newton; only the automatic choice falls back to
-    # splitting (psd Hessians), a forced Newton run reports its own failure
-    points = semismooth_newton_solve(data, hint, cfg.seed)
     if points:
         d, lam = _nearest(points, hint)
-        return SubproblemSolution(KKT_POINT, d, lam, kkt_residual(data, d, lam), ENGINE_NEWTON)
-    if cfg.engine is None:
-        fallback = _splitting_point(data)
-        if fallback is not None:
-            return fallback
+        return SubproblemSolution(KKT_POINT, d, lam, kkt_residual(data, d, lam), engine)
+    # No KKT point: one classifier for every engine.  A feasible polyhedral
+    # subproblem without one is unbounded below (Frank & Wolfe 1956), which a
+    # descent ray certifies; else only enumeration certifies "no KKT point".
     if _linearized_feasible(data) is False:
-        return SubproblemSolution(INFEASIBLE, engine=ENGINE_NEWTON)
-    if _descent_ray(data, seed=cfg.seed) is not None:
-        return SubproblemSolution(UNBOUNDED, engine=ENGINE_NEWTON)
-    return SubproblemSolution(ITER_LIMIT, engine=ENGINE_NEWTON)
-
-
-def _splitting_point(data: SubproblemData) -> SubproblemSolution | None:
-    out = splitting_solve(data)
-    if out is not None:
-        d, lam = out
-        res = kkt_residual(data, d, lam)
-        if res <= _TOL * data.scale:
-            return SubproblemSolution(KKT_POINT, d, lam, res, ENGINE_SPLITTING)
-    return None
+        status = INFEASIBLE
+    elif _descent_ray(data, cfg.seed) is not None:
+        status = UNBOUNDED
+    else:
+        status = NO_KKT_POINT if engine == ENGINE_ENUMERATION else ITER_LIMIT
+    return SubproblemSolution(status, engine=engine)
 
 
 def _nearest(points, hint):

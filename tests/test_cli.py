@@ -114,6 +114,14 @@ class TestSolveCommand:
         assert "error: fourier-motzkin would create 99999 rows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("problem,x0,field", [("ex55", "1e200", "H"),
+                                                 ("soc_toy", "1e200,1e200", "c")])
+    def test_non_finite_subproblem_exits_2(self, problem, x0, field, capsys):
+        with np.errstate(all="ignore"):
+            assert run(["solve", problem, "--x0", x0]) == 2
+        err = capsys.readouterr().err
+        assert f"error: subproblem {field} is not finite" in err and "Traceback" not in err
+
     def test_json_report_written(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         assert run(["solve", "ex55", "--x0", "1.9", "--lam0", "0", "--json", str(path)]) == 0
@@ -174,6 +182,13 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert "not a KKT solution" in err and "Traceback" not in err
 
+    def test_nan_residual_is_not_a_kkt_solution(self, capsys):
+        # x^3/6 has a NaN gradient at 1e200, so the gate's residual is NaN
+        with np.errstate(all="ignore"):
+            assert run(["diagnose", "ex55", "--x", "1e200", "--lam", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: point is not a KKT solution") and "Traceback" not in err
+
     def test_point_needs_both_x_and_lam(self, capsys):
         # a lone --x or --lam must not fall back to the reference point
         assert run(["diagnose", "ex55", "--x", "0", "--no-probe"]) == 2
@@ -204,6 +219,15 @@ class TestProbeAndOracleCommands:
     def test_oracle_check_polyhedral_exact(self, capsys):
         assert run(["oracle-check", "--cone", "orthant4", "--n", "25"]) == 0
         assert run(["oracle-check", "--cone", "zero2", "--n", "10"]) == 0
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_oracle_check_needs_a_triple(self, n, capsys):
+        assert run(["oracle-check", "--n", n]) == 2
+        assert capsys.readouterr().err.startswith("error: --n must be at least 1")
+
+    def test_probe_rejects_negative_samples(self, capsys):
+        assert run(["probe-calmness", "ex55", "--samples", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: probe_samples must be >= 0")
 
     def test_oracle_check_bad_cone_name(self, capsys):
         assert run(["oracle-check", "--cone", "banana"]) == 2

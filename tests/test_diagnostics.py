@@ -98,6 +98,11 @@ class TestSSOC:
         with pytest.raises(ValueError, match="not a KKT solution"):
             check_ssoc(reg["ex55"].problem, KKTPair([1.0], [0.0]), CFG)
 
+    def test_gate_rejects_nan_residual(self, reg):
+        # the gradient of x^3/6 is NaN at 1e200, and NaN > tol is False
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="residual nan"):
+            check_ssoc(reg["ex55"].problem, KKTPair([1e200], [0.0]), CFG)
+
     def test_apex_with_zero_multiplier_is_sampled(self):
         # min 0.5|x|^2 over SOC3 at the origin: the critical cone is the whole
         # second-order cone, so only a sampled bound is available
@@ -258,6 +263,11 @@ class TestProbe:
     def test_config_accepts_only_one_job(self):
         with pytest.raises(ValueError, match="jobs"):
             DiagnosticsConfig(jobs=2)
+
+    def test_config_rejects_negative_samples(self):
+        with pytest.raises(ValueError, match="probe_samples"):
+            DiagnosticsConfig(probe_samples=-1)
+        assert DiagnosticsConfig(probe_samples=0).probe_samples == 0
 
     def test_solutions_solve_the_perturbed_system(self, reg):
         # a Newton start is kept on its residual norm alone, which bounds the

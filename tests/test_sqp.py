@@ -68,7 +68,7 @@ class TestEx55Runs:
         rep = run_basic_sqp(reg["ex55"].problem, KKTPair([0.1], [0.0]))
         assert rep.status == SOLVABILITY_FAILURE
         assert rep.failure_iter == 0
-        assert rep.subproblem_status == subproblem.NO_KKT_POINT
+        assert rep.subproblem_status == subproblem.UNBOUNDED
 
     def test_converges_to_strict_minimizer(self, reg):
         rep = run_basic_sqp(reg["ex55"].problem, KKTPair([1.9], [0.0]))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conesqp import cones, subproblem
+from conesqp.polyhedra import BudgetExceeded
 from conesqp.subproblem import (
     ENGINE_ENUMERATION,
     ENGINE_NEWTON,
@@ -16,6 +17,7 @@ from conesqp.subproblem import (
     enumerate_kkt_points,
     kkt_residual,
     solve_subproblem,
+    splitting_solve,
 )
 
 
@@ -95,9 +97,9 @@ class TestSolveStatuses:
         assert sol.status == KKT_POINT and sol.engine == ENGINE_ENUMERATION
         assert np.allclose(sol.d, [1.0, 1.0]) and np.allclose(sol.lam, 0.0)
 
-    def test_no_kkt_point_status(self):
+    def test_unbounded_status_near_degenerate_origin(self):
         sol = solve_subproblem(ex55_subproblem(0.1))
-        assert sol.status == NO_KKT_POINT
+        assert sol.status == UNBOUNDED and sol.engine == ENGINE_ENUMERATION
 
     def test_infeasible_status(self):
         # zero cone row that no direction can satisfy
@@ -153,6 +155,49 @@ class TestSolveStatuses:
         assert sol.status == INFEASIBLE and sol.engine == ENGINE_NEWTON
 
 
+class TestOneClassifier:
+    @pytest.mark.parametrize("u", [0.1, 0.5])
+    def test_every_engine_unbounded_near_degenerate_origin(self, u):
+        # no KKT point, and the ray d = 1 has g.d < 0 and negative curvature
+        for engine in (None, ENGINE_NEWTON, ENGINE_SPLITTING):
+            sol = solve_subproblem(ex55_subproblem(u), cfg=SolverConfig(engine=engine))
+            assert sol.status == UNBOUNDED, engine
+            assert sol.engine == (engine or ENGINE_ENUMERATION)
+
+    def test_no_kkt_point_certified_only_by_enumeration(self):
+        # feasible for d >= 1, no KKT point on either pattern, and unbounded
+        # only along negative curvature with g.d = 0, which no ray certifies
+        data = SubproblemData(np.array([[-1.0]]), np.array([0.0]), np.array([[1.0]]),
+                              np.array([-1.0]), cones.orthant(1))
+        assert enumerate_kkt_points(data) == []
+        auto = solve_subproblem(data)
+        assert auto.status == NO_KKT_POINT and auto.engine == ENGINE_ENUMERATION
+        forced = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_NEWTON))
+        assert forced.status == ITER_LIMIT and forced.engine == ENGINE_NEWTON
+
+    def test_splitting_returns_a_list(self):
+        assert splitting_solve(ex55_subproblem(0.1)) == []  # indefinite H
+        points = splitting_solve(ex55_subproblem(1.9))
+        assert len(points) == 1
+        assert points[0][0][0] == pytest.approx(0.095 / 0.9, abs=1e-9)
+
+    def test_pattern_budget_counts_orthant_coordinates(self):
+        n = 11
+        data = SubproblemData(np.eye(n), -np.ones(n), np.eye(n), np.zeros(n), cones.orthant(n))
+        with pytest.raises(BudgetExceeded):
+            enumerate_kkt_points(data)
+        sol = solve_subproblem(data)
+        assert sol.status == KKT_POINT and sol.engine == ENGINE_NEWTON
+        assert np.allclose(sol.d, np.ones(n))
+        # twelve zero rows make one pattern: enumerated
+        n = 12
+        data = SubproblemData(np.eye(n), np.zeros(n), np.eye(n), np.arange(n, dtype=float),
+                              cones.zero(n))
+        sol = solve_subproblem(data)
+        assert sol.status == KKT_POINT and sol.engine == ENGINE_ENUMERATION
+        assert np.allclose(sol.d, -np.arange(n))
+
+
 class TestEngineAgreement:
     def test_splitting_matches_enumeration_on_objective(self, rng):
         for trial in range(60):
@@ -204,6 +249,26 @@ class TestValidation:
         H = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             SubproblemData(H, np.zeros(2), np.eye(2), np.zeros(2), cones.orthant(2))
+
+    @pytest.mark.parametrize("field", ["H", "g", "A", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected(self, field, bad):
+        arrays = {"H": np.eye(2), "g": np.zeros(2), "A": np.eye(2), "c": np.zeros(2)}
+        arrays[field] = arrays[field].copy()
+        arrays[field].flat[0] = bad
+        with pytest.raises(ValueError, match=f"subproblem {field} is not finite"):
+            SubproblemData(cone=cones.orthant(2), **arrays)
+
+    def test_overflowing_scale_rejected(self):
+        # finite entries whose norm overflows would give every engine an infinite scale
+        with pytest.raises(ValueError, match="subproblem c is not finite"):
+            SubproblemData(np.eye(2), np.zeros(2), np.eye(2), np.array([1e200, 1e200]),
+                           cones.orthant(2))
+
+    def test_unknown_engine_rejected(self):
+        data = SubproblemData(np.eye(1), np.zeros(1), np.eye(1), np.zeros(1), cones.orthant(1))
+        with pytest.raises(ValueError, match="unknown subproblem engine 'Simplex'"):
+            solve_subproblem(data, cfg=SolverConfig(engine="Simplex"))
 
     def test_dimension_checks(self):
         with pytest.raises(ValueError, match="dimensions"):
