@@ -104,29 +104,23 @@ class SecondOrderValue:
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
+# every non-space character starts a match (``bad`` catches the rest), so the
+# matches tile the text up to its trailing whitespace
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?P<expo>[eE][+-]?\d+)?"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<var>x\d+)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
-        if match.group("num") is not None:
-            tokens.append(("num", match.group("num") + (match.group("expo") or ""), match.start("num")))
-        elif match.group("var") is not None:
-            tokens.append(("var", match.group("var"), match.start("var")))
-        else:
-            tokens.append(("op", match.group("op"), match.start("op")))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":  # reported where the previous token ended
+            raise ParseError(f"unexpected character {match.group(kind)!r}", match.start())
+        tokens.append((kind, match.group(kind), match.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -85,13 +85,23 @@ def _subproblem_of(p: ProblemSpec, data: LagrangianData) -> SubproblemData:
     )
 
 
+def _evaluate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, KKTResidual]:
+    """One Lagrangian evaluation per iterate serves its residual and its subproblem.
+
+    An iterate far enough out overflows to inf or nan, quietly: the
+    subproblem built from it then refuses the non-finite data by name.
+    """
+    with np.errstate(all="ignore"):
+        data = problem_mod.lagrangian_data(p, z)
+        return data, problem_mod._kkt_residual_of(p, z, data)
+
+
 def run_basic_sqp(p: ProblemSpec, z0: KKTPair, cfg: SQPConfig | None = None) -> ConvergenceReport:
     cfg = cfg or SQPConfig()
     z = z0
-    # one Lagrangian evaluation per iterate serves its residual and its subproblem
-    data = problem_mod.lagrangian_data(p, z)
+    data, residual = _evaluate(p, z)
     iterates = [z]
-    residuals = [problem_mod._kkt_residual_of(p, z, data)]
+    residuals = [residual]
     step_norms: list[float] = []
     status = ITER_LIMIT
     failure_iter = None
@@ -114,8 +124,8 @@ def run_basic_sqp(p: ProblemSpec, z0: KKTPair, cfg: SQPConfig | None = None) -> 
         step = z_next.distance_to(z)
         step_norms.append(step)
         iterates.append(z_next)
-        data = problem_mod.lagrangian_data(p, z_next)
-        residuals.append(problem_mod._kkt_residual_of(p, z_next, data))
+        data, residual = _evaluate(p, z_next)
+        residuals.append(residual)
         z = z_next
         # a step that lands on a KKT point converges even if it was long;
         # the localization bound only polices non-terminal steps

@@ -12,7 +12,12 @@ engines are provided:
   cones at small m; returns ALL KKT points, which also certifies
   nonexistence when the list is empty.
 * ``semismooth_newton`` -- damped Newton on the projection-based residual
-  map, with deterministic multi-start; handles second-order blocks.
+  map, with deterministic multi-start; handles second-order blocks.  The
+  starts stop at the first KKT point found when it is the only one: a
+  positive definite ``H`` (one Cholesky test) makes ``d`` unique, and a
+  normal-cone basis ``B`` at ``c + A d`` with ``A^T B`` of full column rank
+  makes ``lam`` unique.  Every later start could only find that point again,
+  which the deduplication drops, so the answer is unchanged.
 * ``splitting`` -- ADMM on the explicit splitting (direction, cone slack),
   for positive-semidefinite Hessians, polished by a few Newton steps.
 
@@ -245,8 +250,35 @@ def _newton_from(data: SubproblemData, d0, lam0, max_iters: int):
     return damped_newton(data.cone, residual, linearize, d0, lam0, tol, max_iters)
 
 
+def _positive_definite(H: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _multiplier_unique(data: SubproblemData, d: np.ndarray, tol: float) -> bool:
+    """At most one multiplier goes with ``d``: the normal cone at ``y = c + A d``
+    is ``{B v : ...}`` (no second-order block at its apex) and ``A^T B`` has
+    full column rank, so ``g + H d + A^T B v = 0`` fixes ``v``.
+
+    The faces are read at the KKT tolerance ``tol`` with ``lam = 0``: every
+    face active within it adds a column to ``B``, which can only fail the
+    test, and a point that passed the residual test lies in the cone within
+    ``tol``, so the critical cone accepts it."""
+    y = data.c + data.A @ d
+    basis = cones.critical_cone(data.cone, y, np.zeros(data.m), tol).multiplier_basis()
+    if basis is None:
+        return False
+    B = basis[0]
+    return int(np.linalg.matrix_rank(data.A.T @ B)) == B.shape[1]
+
+
 def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
-    """Multi-start semismooth Newton; returns all distinct KKT points found."""
+    """Multi-start semismooth Newton; returns all distinct KKT points found,
+    or the first one alone when ``H`` and ``_multiplier_unique`` show it is
+    the only one."""
     n, m = data.n, data.m
     rng = np.random.default_rng(seed)
     hint_d, hint_lam = hint
@@ -258,6 +290,7 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
             (hint_d + spread * rng.normal(size=n), hint_lam + spread * rng.normal(size=m))
         )
     tol = _TOL * scale
+    strictly_convex = _positive_definite(data.H)
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     for d0, lam0 in starts:
         d, lam, res = _newton_from(data, d0, lam0, _NEWTON_MAX_ITERS)
@@ -265,6 +298,8 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
             solutions.append((d, lam))
             if np.linalg.norm(np.concatenate([d - hint_d, lam - hint_lam])) <= tol * 10:
                 break  # found the hint-adjacent solution, no need to keep searching
+            if len(solutions) == 1 and strictly_convex and _multiplier_unique(data, d, tol):
+                break  # the only KKT point: later starts can only find it again
     return _dedupe(solutions, tol=1e-8 * scale)
 
 

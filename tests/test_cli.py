@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +125,22 @@ class TestSolveCommand:
             assert run(["solve", problem, "--x0", x0]) == 2
         err = capsys.readouterr().err
         assert f"error: subproblem {field} is not finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("problem,x0,message", [
+        ("ex55", "1e200", "error: subproblem H is not finite: its norm is nan"),
+        ("soc_toy", "1e200,1e200", "error: subproblem c is not finite: its norm is inf"),
+    ])
+    def test_overflowing_start_prints_only_the_error(self, problem, x0, message):
+        # a fresh interpreter with default warning filters, as a user runs it
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "conesqp.cli", "solve", problem, "--x0", x0],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [message]
 
     def test_json_report_written(self, tmp_path, capsys):
         path = tmp_path / "run.json"

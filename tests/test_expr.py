@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +80,63 @@ class TestParse:
     def test_unbalanced_parens(self):
         with pytest.raises(expr.ParseError):
             expr.parse("(x1 + 1", 1)
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?P<expo>[eE][+-]?\d+)?"
+    r"|(?P<var>x\d+)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def reference_tokenize(text):
+    """The tokenizer as one ``match`` per token, kept to pin the single-scan one."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _REFERENCE_TOKEN_RE.match(text, pos)
+        if match is None:
+            if text[pos:].strip() == "":
+                break
+            raise expr.ParseError(f"unexpected character {text[pos:].lstrip()[0]!r}", pos)
+        if match.group("num") is not None:
+            tokens.append(("num", match.group("num") + (match.group("expo") or ""), match.start("num")))
+        elif match.group("var") is not None:
+            tokens.append(("var", match.group("var"), match.start("var")))
+        else:
+            tokens.append(("op", match.group("op"), match.start("op")))
+        pos = match.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except expr.ParseError as exc:
+        return str(exc), exc.position
+
+
+class TestTokenize:
+    def test_matches_reference_on_printed_random_trees(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            text = expr.to_string(expr.ExprAST(random_ast(rng, n, depth=4), n))
+            for variant in (text, f"  {text}\t", text.replace(" ", "")):
+                assert expr._tokenize(variant) == reference_tokenize(variant)
+
+    @pytest.mark.parametrize("text", [
+        "", "   ", "x1 + + x1", "(x1 + 1", "x1^2.5", "x1^-2", "1.5e-3*x2 + .5E+2 - 3.",
+        "x1 $ 2", "x1   $", "2 + y1", "1e", "x", "x1e5", "1.2.3", " \t@", "x1 +\n#",
+        "x1 * 2 &&", "x12x3", "3 ! ", "x1 + é",
+    ])
+    def test_matches_reference_on_edge_and_error_cases(self, text):
+        assert _tokens_or_error(expr._tokenize, text) == _tokens_or_error(reference_tokenize, text)
+
+    def test_error_position_is_the_end_of_the_previous_token(self):
+        with pytest.raises(expr.ParseError, match="unexpected character '\\$'") as err:
+            expr.parse("x1   $", 1)
+        assert err.value.position == 2
 
 
 class TestEval2:

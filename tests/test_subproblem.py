@@ -244,6 +244,104 @@ class TestEngineAgreement:
                 assert ss.residual <= 1e-8 and sn.residual <= 1e-8
 
 
+def count_newton_starts(monkeypatch) -> list[int]:
+    """Count ``_newton_from`` calls (one per multi-start) from now on."""
+    count = [0]
+    newton_from = subproblem._newton_from
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return newton_from(*args, **kwargs)
+
+    monkeypatch.setattr(subproblem, "_newton_from", counted)
+    return count
+
+
+def projection_subproblem(H=None, extra_rows=()):
+    """min 1/2 |d - p|^2 over d in L^3 (p = (2, 1, 1)) and d_2 <= 0, which is
+    active with a positive multiplier; the solution (1.5, 0, 1.5) lies on the
+    boundary of L^3.  ``extra_rows`` adds orthant rows ``(a, c)``."""
+    rows = [(np.array([0.0, -1.0, 0.0]), 0.0), *extra_rows]
+    A = np.vstack([np.eye(3)] + [a for a, _ in rows])
+    c = np.concatenate([np.zeros(3), [ci for _, ci in rows]])
+    cone = cones.product(cones.second_order(3), cones.orthant(len(rows)))
+    H = np.eye(3) if H is None else H
+    return SubproblemData(H, -np.array([2.0, 1.0, 1.0]), A, c, cone)
+
+
+class TestNewtonStoppingRule:
+    def test_unique_kkt_point_takes_one_start(self, monkeypatch):
+        data = projection_subproblem()
+        starts = count_newton_starts(monkeypatch)
+        sol = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_NEWTON))
+        assert sol.status == KKT_POINT and np.allclose(sol.d, [1.5, 0.0, 1.5], atol=1e-9)
+        assert starts[0] == 1
+
+    @pytest.mark.parametrize("data", [
+        # the active row twice: a segment of multipliers
+        projection_subproblem(extra_rows=[(np.array([0.0, -1.0, 0.0]), 0.0)]),
+        # indefinite H, with d_3 <= 3 to keep the feasible set bounded
+        projection_subproblem(H=np.diag([1.0, 1.0, -0.25]),
+                              extra_rows=[(np.array([0.0, 0.0, -1.0]), 3.0)]),
+        # the solution d = 0 sits at the apex of L^3
+        SubproblemData(np.eye(3), np.array([0.0, 0.0, 1.0]), np.eye(3), np.zeros(3),
+                       cones.second_order(3)),
+    ], ids=["duplicated-row", "indefinite", "apex"])
+    def test_possibly_non_unique_keeps_every_start(self, data, monkeypatch):
+        starts = count_newton_starts(monkeypatch)
+        sol = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_NEWTON))
+        assert sol.status == KKT_POINT
+        assert starts[0] == subproblem._N_STARTS
+
+
+def random_newton_instance(rng, second_order: bool):
+    """Feasible subproblem over orthant and zero rows, plus a second-order
+    block when asked; the Hessian is indefinite in a quarter of the draws and
+    one orthant row is duplicated in a third of them."""
+    n = int(rng.integers(1, 5))
+    m = int(rng.integers(1, 5))
+    kinds = [cones.ORTHANT if rng.random() < 0.75 else cones.ZERO for _ in range(m)]
+    A = rng.normal(size=(m, n))
+    dup = kinds.index(cones.ORTHANT) if cones.ORTHANT in kinds and rng.random() < 1 / 3 else None
+    if dup is not None:
+        kinds.append(cones.ORTHANT)
+        A = np.vstack([A, A[dup]])
+    blocks = [cones.ConeBlock(kind, 1) for kind in kinds]
+    if second_order:
+        blocks.append(cones.ConeBlock(cones.SOC, int(rng.integers(2, 5))))
+        A = np.vstack([A, rng.normal(size=(blocks[-1].dim, n))])
+    cone = cones.ConeSpec(tuple(blocks))
+    B = rng.normal(size=(n, n))
+    H = B @ B.T + (0.5 if rng.random() < 0.75 else -1.0) * np.eye(n)
+    c = cones.sample_point(cone, rng) - A @ rng.normal(size=n)
+    if dup is not None:
+        c[len(kinds) - 1] = c[dup]  # the copy is the same constraint
+    return SubproblemData(H, rng.normal(size=n), A, c, cone)
+
+
+def test_newton_stopping_rule_keeps_every_answer(rng, monkeypatch):
+    cases = []
+    for trial in range(48):
+        data = random_newton_instance(rng, second_order=trial % 2 == 1)
+        hint = (np.zeros(data.n), rng.normal(size=data.m) if trial % 4 < 2 else np.zeros(data.m))
+        cases.append((data, hint, SolverConfig(seed=trial, engine=ENGINE_NEWTON)))
+    starts = count_newton_starts(monkeypatch)
+    fast = []
+    for data, hint, cfg in cases:
+        before = starts[0]
+        fast.append((solve_subproblem(data, hint, cfg), starts[0] - before))
+    monkeypatch.setattr(subproblem, "_multiplier_unique", lambda *args: False)
+    stopped_early = 0
+    for (data, hint, cfg), (sol, n_starts) in zip(cases, fast):
+        before = starts[0]
+        ref = solve_subproblem(data, hint, cfg)
+        stopped_early += n_starts < starts[0] - before
+        assert (sol.status, sol.engine) == (ref.status, ref.engine)
+        if ref.status == KKT_POINT:
+            assert np.array_equal(sol.d, ref.d) and np.array_equal(sol.lam, ref.lam)
+    assert stopped_early >= 12  # the comparison covers the rule, not only its misses
+
+
 class TestValidation:
     def test_asymmetric_hessian_rejected(self):
         H = np.array([[1.0, 1.0], [0.0, 1.0]])
