@@ -119,16 +119,23 @@ def _project_soc(z: np.ndarray) -> np.ndarray:
 
 
 def project(cone: ConeSpec, y: np.ndarray) -> np.ndarray:
-    """Blockwise Euclidean projection onto the cone."""
-    y = _check_dim(cone, y, "y")
+    """Blockwise Euclidean projection onto the cone.
+
+    A stack ``(B, m)`` is projected row by row, each row bit for bit as alone."""
+    y = np.asarray(y, dtype=float)
+    if y.shape[-1:] != (cone.total_dim,) or y.ndim > 2:
+        raise ValueError(f"y has shape {y.shape}, expected ({cone.total_dim},)")
     out = np.empty_like(y)
     for block, sl in cone.slices():
         if block.kind == ZERO:
-            out[sl] = 0.0
+            out[..., sl] = 0.0
         elif block.kind == ORTHANT:
-            out[sl] = np.maximum(y[sl], 0.0)
-        else:
+            out[..., sl] = np.maximum(y[..., sl], 0.0)
+        elif y.ndim == 1:
             out[sl] = _project_soc(y[sl])
+        else:
+            for row_out, row in zip(out, y):
+                row_out[sl] = _project_soc(row[sl])
     return out
 
 

@@ -51,6 +51,7 @@ _TOL = 1e-8  # KKT gate
 _SAMPLE_COUNT = 100  # safety-net samples for non-polyhedral searches
 PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _PROBE_BALL = 0.5  # probe solutions farther than this from the point are ignored
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,12 @@ def _gate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, CriticalCone]:
     """The Lagrangian data of z and its critical cone, once z passes the gate.
 
     The critical cone decides, once per point, which faces are active; every
-    check below reads that decision from it.
+    check below reads that decision from it.  A point far enough out
+    overflows to inf or nan quietly, and its residual then fails the gate.
     """
-    data = problem_mod.lagrangian_data(p, z)
-    res = problem_mod._kkt_residual_of(p, z, data)
+    with np.errstate(all="ignore"):
+        data = problem_mod.lagrangian_data(p, z)
+        res = problem_mod._kkt_residual_of(p, z, data)
     scale = 1.0 + float(np.linalg.norm(z.lam))
     if not res.total <= _TOL * scale:  # a NaN residual fails too
         raise ValueError(
@@ -534,17 +537,49 @@ def _multiplier_calmness(p: ProblemSpec, K: CriticalCone) -> CalmnessResult:
 
 
 def _perturbed_kkt(p: ProblemSpec, x, lam, v, w):
-    """``(r1, r2, y)`` of the tilt/shift perturbed KKT system at (x, lam):
-    stationarity ``r1``, complementarity ``r2`` and the shifted value ``y = f(x) + w``."""
+    """``(r1, r2, y, jac_f)`` of the tilt/shift perturbed KKT system at (x, lam):
+    stationarity ``r1``, complementarity ``r2``, the shifted value
+    ``y = f(x) + w`` and the constraint Jacobian.
+
+    Stacks ``x`` ``(B, n)`` and ``lam`` ``(B, m)`` give stacked rows, bit for
+    bit those of each point alone, except ``jac_f^T lam`` in ``r1``: its
+    batched sum may round in another order."""
     _, grad = expr.eval1(p.objective, x)
     f_val, jac_f = problem_mod.constraint_values(p, x)
     y = f_val + w
-    return grad - v + jac_f.T @ lam, y - cones.project(p.cone, y + lam), y
+    jt_lam = jac_f.T @ lam if x.ndim == 1 else (lam[:, None, :] @ jac_f)[:, 0]
+    return grad - v + jt_lam, y - cones.project(p.cone, y + lam), y, jac_f
 
 
 def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
-    r1, r2, y = _perturbed_kkt(p, x, lam, v, w)
+    r1, r2, y, _ = _perturbed_kkt(p, x, lam, v, w)
     return float(np.linalg.norm(r1)) + float(np.linalg.norm(r2)) + cones.distance(p.cone, y)
+
+
+def _perturbed_screen(p: ProblemSpec, v, w):
+    """Screen for ``damped_newton``: per row of a stack of points, a lower
+    bound of the norm that ``_newton_perturbed``'s residual computes there.
+
+    The stacked ``_perturbed_kkt`` differs from the single-point one only in
+    ``jac_f^T lam``.  Summed in any order, each entry of it is within
+    ``m u sum_i |J_ij lam_i|`` of the exact sum (u = eps / 2), so the two
+    differ by at most ``2 m eps ||(|J|^T |lam|)||``; the relative factor
+    covers the rounding of the two norms and of the last addition.  A zero
+    denominator in any row gives None, and every step then goes through the
+    residual as before."""
+    rel = 1.0 - (p.n + p.m + 4) * _EPS
+
+    def screen(x, lam):
+        with np.errstate(all="ignore"):
+            try:
+                r1, r2, _, jac_f = _perturbed_kkt(p, x, lam, v, w)
+            except expr.EvalError:
+                return None
+            spread = (np.abs(lam)[:, None, :] @ np.abs(jac_f))[:, 0]
+            return (rel * np.sqrt(np.sum(r1 * r1, axis=1) + np.sum(r2 * r2, axis=1))
+                    - 2 * p.m * _EPS * np.sqrt(np.sum(spread * spread, axis=1)))
+
+    return screen
 
 
 def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
@@ -557,7 +592,8 @@ def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
         data = problem_mod.lagrangian_data(p, KKTPair(x, lam))
         return data.hess_xx, data.jac_f, data.f_val + w
 
-    return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters)
+    return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters,
+                         screen=_perturbed_screen(p, v, w))
 
 
 def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):

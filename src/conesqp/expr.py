@@ -286,14 +286,25 @@ def eval2(ast: ExprAST, x: np.ndarray) -> SecondOrderValue:
 
 
 def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and gradient of ``ast`` at ``x``, bit for bit those of ``eval2``."""
+    """Value and gradient of ``ast`` at ``x``, bit for bit those of ``eval2``.
+
+    ``x`` may also be a stack of points ``(B, n)``: the values ``(B,)`` and
+    gradients ``(B, n)`` are then, row by row, bit for bit those of the
+    single points.  A zero denominator in any row raises ``EvalError``.
+    """
+    x = np.asarray(x, dtype=float)
     v, g, _ = _eval_root(ast, x, False)
-    return v, g
+    if x.ndim == 1:
+        return v, g
+    # a stacked value is a (B, 1) column, or a float where it does not depend on x
+    values, grads = np.empty((len(x), 1)), np.empty(x.shape)
+    values[...], grads[...] = v, g
+    return values[:, 0], grads
 
 
 def _eval_root(ast: ExprAST, x, hess: bool):
     x = np.asarray(x, dtype=float)
-    if x.shape != (ast.n,):
+    if x.shape[-1:] != (ast.n,) or x.ndim > (1 if hess else 2):
         raise ValueError(f"point has shape {x.shape}, expected ({ast.n},)")
     try:
         return _eval(ast.root, x, ast.n, hess)
@@ -301,14 +312,30 @@ def _eval_root(ast: ExprAST, x, hess: bool):
         raise EvalError("expression nested too deeply to evaluate") from None
 
 
+def _row_power(b: np.ndarray, k: int) -> np.ndarray:
+    """``b ** k`` element by element through the scalar power (libm ``pow``).
+
+    numpy's array power does not give the bits of its scalar power (squares
+    differ in about 1 of 1,000 random values), so a stack takes this path.
+    ``pow(t, 1)`` is ``t`` exactly, so ``k = 1`` needs no loop."""
+    if k == 1:
+        return b
+    return np.array([t ** k for t in b.ravel()]).reshape(b.shape)
+
+
 def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
-    """``(value, gradient, Hessian)`` of ``node``; the Hessian is None unless ``hess``."""
+    """``(value, gradient, Hessian)`` of ``node``; the Hessian is None unless ``hess``.
+
+    For a stack ``x`` of shape ``(B, n)`` (``hess`` False) a value is a
+    ``(B, 1)`` column and a gradient ``(B, n)``, so every rule broadcasts
+    unchanged; subtrees free of variables keep their scalar values."""
     if isinstance(node, Const):
         return node.value, np.zeros(n), np.zeros((n, n)) if hess else None
     if isinstance(node, Var):
         g = np.zeros(n)
         g[node.index] = 1.0
-        return x[node.index], g, np.zeros((n, n)) if hess else None
+        v = x[node.index] if x.ndim == 1 else x[:, node.index : node.index + 1]
+        return v, g, np.zeros((n, n)) if hess else None
     if isinstance(node, Neg):
         v, g, h = _eval(node.operand, x, n, hess)
         return -v, -g, -h if hess else None
@@ -329,7 +356,8 @@ def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
     if isinstance(node, Div):
         va, ga, ha = _eval(node.left, x, n, hess)
         vb, gb, hb = _eval(node.right, x, n, hess)
-        if abs(vb) < _DIV_FLOOR:
+        small = abs(vb) < _DIV_FLOOR
+        if small.any() if isinstance(small, np.ndarray) else small:
             raise EvalError("division by zero")
         q = va / vb
         gq = (ga - q * gb) / vb
@@ -342,7 +370,7 @@ def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
             return 1.0, np.zeros(n), np.zeros((n, n)) if hess else None
         if k == 1:
             return vb, gb, hb
-        vk1 = vb ** (k - 1)
+        vk1 = _row_power(vb, k - 1) if isinstance(vb, np.ndarray) else vb ** (k - 1)
         v = vk1 * vb
         g = k * vk1 * gb
         if not hess:

@@ -84,11 +84,12 @@ class LagrangianData:
 
 
 def constraint_values(p: ProblemSpec, x: np.ndarray):
-    """Values and Jacobian (m x n) of f at x, without the Hessians."""
-    vals = np.empty(p.m)
-    jac = np.empty((p.m, p.n))
+    """Values and Jacobian (m x n) of f at x, without the Hessians; a stack of
+    points ``(B, n)`` gives ``(B, m)`` values and ``(B, m, n)`` Jacobians."""
+    vals = np.empty(x.shape[:-1] + (p.m,))
+    jac = np.empty(x.shape[:-1] + (p.m, p.n))
     for i, c in enumerate(p.constraints):
-        vals[i], jac[i] = expr.eval1(c, x)
+        vals[..., i], jac[..., i, :] = expr.eval1(c, x)
     return vals, jac
 
 

@@ -52,6 +52,8 @@ _NEWTON_MAX_ITERS = 100
 _ADMM_RHO = 1.0
 _ADMM_MAX_ITERS = 20_000
 _RAY_TRIES = 512  # sampled descent-ray candidates of each kind
+_ARMIJO_STEPS = tuple(0.5**k for k in range(30))  # damped Newton step lengths, in order
+_HALVED_STEPS = np.array(_ARMIJO_STEPS[1:])
 
 
 @dataclass(frozen=True)
@@ -196,7 +198,8 @@ def _dedupe(points, tol):
 # Semismooth Newton engine
 
 
-def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max_iters: int):
+def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max_iters: int,
+                  screen=None):
     """Damped semismooth Newton on a projection residual of a cone-constrained KKT system.
 
     ``residual(x, lam)`` is the stacked vector ``(stationarity, y - proj(y + lam))``
@@ -204,6 +207,13 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
     the constraint Jacobian and the constraint value ``y``.  Each step
     halves (at most 30 times) until the Armijo decrease holds; when it never
     does the run stops where it stands.  Returns ``(x, lam, ||F||)``.
+
+    ``screen(X, LAM)``, when given, receives the points of all 29 halved steps
+    at once, after the full step fails, and returns for each row a number no
+    larger than the norm of ``residual`` there (or None when it cannot tell).
+    A step whose number already fails the Armijo bound is skipped without a
+    call to ``residual``; every other step goes through ``residual`` as
+    before, so the screen changes no iterate and no bit of the result.
     """
     n, m = x0.shape[0], cone.total_dim
     x, lam = x0.copy(), lam0.copy()
@@ -223,13 +233,20 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        alpha = 1.0
-        for _ in range(30):
+        lower = None  # screened lower bounds of the halved steps' norms
+        for k, alpha in enumerate(_ARMIJO_STEPS):
+            bound = (1.0 - 1e-4 * alpha) * nrm
+            if lower is not None and lower[k - 1] >= bound:
+                continue
             x_new, lam_new = x + alpha * step[:n], lam + alpha * step[n:]
             F_new = residual(x_new, lam_new)
-            if float(np.linalg.norm(F_new)) < (1.0 - 1e-4 * alpha) * nrm:
+            if float(np.linalg.norm(F_new)) < bound:
                 break
-            alpha *= 0.5
+            if k == 0 and screen is not None:
+                scaled = _HALVED_STEPS[:, None] * step
+                lower = screen(x + scaled[:, :n], lam + scaled[:, n:])
+                if lower is not None:  # a row that is not finite is not screened
+                    lower = np.where(np.isfinite(lower), lower, -np.inf)
         else:
             return x, lam, nrm  # stalled
         x, lam, F = x_new, lam_new, F_new

@@ -209,6 +209,20 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: point is not a KKT solution") and "Traceback" not in err
 
+    def test_overflowing_point_prints_only_the_error(self):
+        # a fresh interpreter with default warning filters, as a user runs it
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "conesqp.cli", "diagnose", "ex55", "--x", "1e200", "--lam", "0"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: point is not a KKT solution: residual nan exceeds gate 1.000e-08"
+        ]
+
     def test_point_needs_both_x_and_lam(self, capsys):
         # a lone --x or --lam must not fall back to the reference point
         assert run(["diagnose", "ex55", "--x", "0", "--no-probe"]) == 2

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conesqp import cones, diagnostics, expr, polyhedra, problem
+from conesqp import cones, diagnostics, expr, polyhedra, problem, subproblem
 from conesqp.diagnostics import (
     CALM,
     INCONCLUSIVE,
@@ -18,6 +18,8 @@ from conesqp.diagnostics import (
     probe_isolated_calmness,
 )
 from conesqp.problem import KKTPair, ProblemSpec
+
+from test_expr import random_ast
 
 CFG = DiagnosticsConfig(run_probe=False)
 
@@ -283,6 +285,132 @@ class TestProbe:
                         assert diagnostics._perturbed_residual(p, s.x, s.lam, v, w) <= 1e-8, name
                         found += 1
             assert found > 0, name
+
+
+def _unscreened(monkeypatch):
+    """Run the probe's line search without its screen."""
+
+    def damped_newton(*args, screen=None, **kwargs):
+        return subproblem.damped_newton(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "damped_newton", damped_newton)
+
+
+def _mixed_problem(rng):
+    """Random polynomial constraints into zero x orthant(2) x SOC(3)."""
+    n = 3
+    cone = cones.product(cones.zero(1), cones.orthant(2), cones.second_order(3))
+    constraints = [expr.ExprAST(random_ast(rng, n), n) for _ in range(cone.total_dim)]
+    return ProblemSpec("mixed", n, expr.ExprAST(random_ast(rng, n), n), constraints, cone)
+
+
+class TestScreenedLineSearch:
+    POINTS = (("ex55", [0.0], [0.0]), ("critical_toy", [0.0], [0.0]),
+              ("critical_toy", [0.0], [-1.0]))
+
+    def problems(self, reg, rng):
+        yield from (reg[name].problem for name in ("ex55", "critical_toy", "qp_orthant", "soc_toy"))
+        for _ in range(5):
+            yield _mixed_problem(rng)
+
+    def test_stacked_rows_are_single_point_bits(self, reg, rng):
+        # orthant, zero, second-order and mixed cones; only jac_f^T lam may
+        # round differently, and then within the bound the screen allows
+        eps = np.finfo(float).eps
+        for p in self.problems(reg, rng):
+            X, L = rng.normal(size=(9, p.n)), rng.normal(size=(9, p.m))
+            v, w = 1e-3 * rng.normal(size=p.n), 1e-3 * rng.normal(size=p.m)
+            r1, r2, y, jac = diagnostics._perturbed_kkt(p, X, L, v, w)
+            for b in range(len(X)):
+                s1, s2, sy, sjac = diagnostics._perturbed_kkt(p, X[b], L[b], v, w)
+                assert np.array_equal(r2[b], s2) and np.array_equal(y[b], sy)
+                assert np.array_equal(jac[b], sjac)
+                if p.m == 1:
+                    assert np.array_equal(r1[b], s1)
+                spread = np.abs(sjac).T @ np.abs(L[b])
+                assert np.all(np.abs(r1[b] - s1) <= 2 * p.m * eps * spread + eps * np.abs(s1))
+
+    def test_screen_bounds_the_residual_norm_from_below(self, reg, rng):
+        for p in self.problems(reg, rng):
+            v, w = 1e-3 * rng.normal(size=p.n), 1e-3 * rng.normal(size=p.m)
+            X, L = rng.normal(size=(29, p.n)), rng.normal(size=(29, p.m))
+            lower = diagnostics._perturbed_screen(p, v, w)(X, L)
+            for b in range(len(X)):
+                r1, r2, _, _ = diagnostics._perturbed_kkt(p, X[b], L[b], v, w)
+                assert lower[b] <= float(np.linalg.norm(np.concatenate([r1, r2])))
+
+    def newton_results(self, p, z, seed):
+        rng = np.random.default_rng(seed)
+        out = []
+        for radius in (1e-1, 1e-3, 1e-6):
+            for _ in range(3):
+                d = rng.normal(size=p.n + p.m)
+                v, w = radius * d[: p.n], radius * d[p.n :]
+                for spread in (0.0, 0.1, 0.45):
+                    x0 = z.x + spread * rng.normal(size=p.n)
+                    lam0 = z.lam + spread * rng.normal(size=p.m)
+                    out.append(diagnostics._newton_perturbed(p, x0, lam0, v, w))
+        return out
+
+    def test_screen_changes_no_newton_result(self, reg, monkeypatch):
+        for name, x, lam in self.POINTS:
+            p, z = reg[name].problem, KKTPair(x, lam)
+            screened = self.newton_results(p, z, seed=7)
+            with monkeypatch.context() as mp:
+                _unscreened(mp)
+                plain = self.newton_results(p, z, seed=7)
+            for (x1, l1, r1), (x2, l2, r2) in zip(screened, plain, strict=True):
+                assert np.array_equal(x1, x2) and np.array_equal(l1, l2), name
+                assert r1.hex() == r2.hex(), name
+
+    def test_zero_denominator_in_the_stack_changes_nothing(self, monkeypatch):
+        # F = x^3 - 2x + 2 from x = 1: the full step and the half step fail
+        # Armijo and the quarter step passes, so the eighth step, at the
+        # pole 0.875, is never evaluated alone; in the stack it is
+        p = ProblemSpec("pole", 1, expr.parse("x1^4/4 - x1^2 + 2*x1 + 0*(1/(x1 - 0.875))", 1),
+                        [expr.parse("x1 + 10", 1)], cones.orthant(1))
+        args = (p, np.array([1.0]), np.array([0.0]), np.zeros(1), np.zeros(1))
+        stacks = []
+        screen_of = diagnostics._perturbed_screen
+
+        def spy(*a):
+            screen = screen_of(*a)
+
+            def recorded(x, lam):
+                lower = screen(x, lam)
+                stacks.append((x.copy(), lower))
+                return lower
+
+            return recorded
+
+        monkeypatch.setattr(diagnostics, "_perturbed_screen", spy)
+        x, lam, res = diagnostics._newton_perturbed(*args)
+        first_x, first_lower = stacks[0]
+        assert first_x[2, 0] == 0.875 and first_lower is None
+        with monkeypatch.context() as mp:
+            _unscreened(mp)
+            x2, lam2, res2 = diagnostics._newton_perturbed(*args)
+        assert np.array_equal(x, x2) and np.array_equal(lam, lam2) and res.hex() == res2.hex()
+
+    def test_fixed_count_of_residual_evaluations(self, reg, monkeypatch):
+        # one probe solve at the ex55 origin (radius 1e-2, tilt +v)
+        p, z = reg["ex55"].problem, KKTPair([0.0], [0.0])
+        v, w = np.array([1e-2]), np.zeros(1)
+        counts = []
+
+        def counted(cone, residual, *args, screen=None, **kwargs):
+            def wrapped(x, lam):
+                counts[-1] += 1
+                return residual(x, lam)
+
+            return subproblem.damped_newton(cone, wrapped, *args, **kwargs,
+                                            screen=screen if len(counts) < 3 else None)
+
+        monkeypatch.setattr(diagnostics, "damped_newton", counted)
+        for _ in range(3):  # screened twice, then without the screen
+            counts.append(0)
+            diagnostics._solve_perturbed(p, z, v, w, rng_seed=0)
+        assert counts == [165, 165, 1510]
 
 
 class TestClassify:

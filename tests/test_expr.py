@@ -198,6 +198,49 @@ class TestEval2:
             expr.eval1(expr.parse("x1", 1), np.zeros(2))
 
 
+class TestStackedEval1:
+    """A stack of points ``(B, n)`` gives, row by row, the single-point bits."""
+
+    @staticmethod
+    def assert_rows_match(ast, X):
+        values, grads = expr.eval1(ast, X)
+        assert values.shape == (len(X),) and grads.shape == X.shape
+        for row, value, grad in zip(X, values, grads):
+            v, g = expr.eval1(ast, row)
+            assert np.array_equal(value, v) and np.array_equal(grad, g)
+
+    def test_rows_match_single_points_bit_for_bit(self, rng):
+        for i in range(600):
+            n = int(rng.integers(1, 4))
+            root = random_ast(rng, n, depth=4)
+            if i % 3 == 0:  # a denominator that stays away from zero
+                root = Div(root, Add(Const(1.5), Pow(random_ast(rng, n, 2), 2)))
+            X = rng.normal(size=(7, n)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1))
+            self.assert_rows_match(expr.ExprAST(root, n), X)
+
+    def test_powers_follow_the_scalar_pow(self, rng):
+        # x^3 takes pow(t, 2) of the base; numpy's array square, t * t, gives
+        # other bits at about one in seven of these points
+        X = (1.0 + rng.integers(0, 2**26, size=(2000, 1)) * 2.0**-26)
+        for text in ("x1^2", "x1^3", "x1^3/6 - 0.5*x1^2", "(x1 - 1)^4"):
+            self.assert_rows_match(expr.parse(text, 1), X)
+
+    def test_constant_expression_fills_every_row(self):
+        values, grads = expr.eval1(expr.parse("2^3 - 1", 2), np.ones((3, 2)))
+        assert np.array_equal(values, [7.0, 7.0, 7.0]) and np.array_equal(grads, np.zeros((3, 2)))
+
+    def test_zero_denominator_in_any_row_raises(self):
+        X = np.array([[1.0], [0.0], [2.0]])
+        with pytest.raises(expr.EvalError):
+            expr.eval1(expr.parse("1/x1", 1), X)
+
+    def test_shapes_are_checked_and_the_hessian_is_not_stacked(self):
+        with pytest.raises(ValueError):
+            expr.eval1(expr.parse("x1", 1), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            expr.eval2(expr.parse("x1", 1), np.zeros((3, 1)))
+
+
 # round-trips: parse(to_string(ast)) reproduces the tree exactly on the
 # parser's image (the grammar has no negative literals: "-1" is unary minus,
 # so parsed trees only ever hold nonnegative constants)
