@@ -52,22 +52,23 @@ class ConeSpec:
     """A product of cone blocks, in block order."""
 
     blocks: tuple[ConeBlock, ...]
+    # derived from ``blocks`` once; not part of equality, hash or repr
+    total_dim: int = field(init=False, repr=False, compare=False)
+    _slices: tuple[tuple[ConeBlock, slice], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise ValueError("cone needs at least one block")
-
-    @property
-    def total_dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
-
-    def slices(self) -> list[tuple[ConeBlock, slice]]:
         out, offset = [], 0
         for block in self.blocks:
             out.append((block, slice(offset, offset + block.dim)))
             offset += block.dim
-        return out
+        object.__setattr__(self, "total_dim", offset)
+        object.__setattr__(self, "_slices", tuple(out))
+
+    def slices(self) -> tuple[tuple[ConeBlock, slice], ...]:
+        return self._slices
 
     @property
     def is_polyhedral(self) -> bool:

@@ -485,31 +485,31 @@ def _srcq_sampled(K: CriticalCone, B, cfg: DiagnosticsConfig):
 
 
 def _srcq_primal(p: ProblemSpec, K: CriticalCone, J) -> bool | None:
-    """Primal form on polyhedral structure: range(J) + K covers ±e_i.
-    None (not checked) when elimination runs out of its row budget."""
+    """Primal form on polyhedral structure: the convex cone range(J) + K
+    contains the positive spanning set e_1, ..., e_m, -(e_1 + ... + e_m), so
+    it is all of R^m (Davis 1954).  None (not checked) when elimination runs
+    out of its row budget."""
     n, m = p.n, p.m
     E, G = K.eq, K.ineq
-    for i in range(m):
-        for sign in (1.0, -1.0):
-            # variables (w, v): J w + v = sign * e_i, v in K
-            nvars = n + m
-            a_eq = np.zeros((m + E.shape[0], nvars))
-            a_eq[:m, :n] = J
-            a_eq[:m, n:] = np.eye(m)
-            b_eq = np.zeros(m + E.shape[0])
-            b_eq[i] = sign
-            if E.shape[0]:
-                a_eq[m:, n:] = E
-            a_ub = np.zeros((G.shape[0], nvars))
-            if G.shape[0]:
-                a_ub[:, n:] = G
-            poly = Polyhedron.build(nvars, a_ub=a_ub, b_ub=np.zeros(G.shape[0]),
-                                    a_eq=a_eq, b_eq=b_eq)
-            try:
-                if not polyhedra.is_feasible(poly):
-                    return False
-            except BudgetExceeded:
-                return None
+    # variables (w, v): J w + v = target, v in K
+    nvars = n + m
+    a_eq = np.zeros((m + E.shape[0], nvars))
+    a_eq[:m, :n] = J
+    a_eq[:m, n:] = np.eye(m)
+    if E.shape[0]:
+        a_eq[m:, n:] = E
+    a_ub = np.zeros((G.shape[0], nvars))
+    if G.shape[0]:
+        a_ub[:, n:] = G
+    for target in (*np.eye(m), -np.ones(m)):
+        b_eq = np.zeros(m + E.shape[0])
+        b_eq[:m] = target
+        poly = Polyhedron.build(nvars, a_ub=a_ub, b_ub=np.zeros(G.shape[0]), a_eq=a_eq, b_eq=b_eq)
+        try:
+            if not polyhedra.is_feasible(poly):
+                return False
+        except BudgetExceeded:
+            return None
     return True
 
 

@@ -101,7 +101,9 @@ def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
     for i, c in enumerate(p.constraints):
         so = expr.eval2(c, z.x)
         f_val[i], jac_f[i], f_hess[i] = so.value, so.gradient, so.hessian
-    hess = obj.hessian + np.tensordot(z.lam, f_hess, axes=1)
+    # the reshape and dot that np.tensordot(lam, f_hess, axes=1) performs, without its overhead
+    lam_hess = np.dot(z.lam.reshape(1, p.m), f_hess.reshape(p.m, p.n * p.n)).reshape(p.n, p.n)
+    hess = obj.hessian + lam_hess
     return LagrangianData(
         grad_obj=obj.gradient,
         grad_x=obj.gradient + jac_f.T @ z.lam,

@@ -19,7 +19,9 @@ engines are provided:
   makes ``lam`` unique.  Every later start could only find that point again,
   which the deduplication drops, so the answer is unchanged.
 * ``splitting`` -- ADMM on the explicit splitting (direction, cone slack),
-  for positive-semidefinite Hessians, polished by a few Newton steps.
+  for positive-semidefinite Hessians, polished by a few Newton steps.  One
+  factorization makes each iteration an affine map, a projection and a dual
+  update; a loose stop tries the polish early, and a tight stop backs it up.
 
 Every engine returns a list of KKT points; ``solve_subproblem`` picks the one
 nearest the hint, or classifies an empty list the same way for every engine.
@@ -51,6 +53,8 @@ _N_STARTS = 50
 _NEWTON_MAX_ITERS = 100
 _ADMM_RHO = 1.0
 _ADMM_MAX_ITERS = 20_000
+_ADMM_RELAX = 1.6  # over-relaxation factor alpha (OSQP, Stellato et al. 2020, sec. 3.3)
+_ADMM_LOOSE_TOL = 1e-6  # ADMM residuals, relative to SubproblemData.scale, of the first polish
 _RAY_TRIES = 512  # sampled descent-ray candidates of each kind
 _ARMIJO_STEPS = tuple(0.5**k for k in range(30))  # damped Newton step lengths, in order
 _HALVED_STEPS = np.array(_ARMIJO_STEPS[1:])
@@ -326,36 +330,55 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
 
 def splitting_solve(data: SubproblemData):
     """ADMM on min g.d + 0.5 d.H.d  s.t.  s = c + A d, s in cone (H psd): ``[(d, lam)]``
-    when the polished point passes the KKT tolerance, ``[]`` otherwise."""
+    when a polished point passes the KKT tolerance, ``[]`` otherwise.
+
+    ``M = H + rho A^T A`` is factored once, and the d-update is the affine map
+    ``d = d0 + K (s - u)`` with ``K = rho M^-1 A^T``, so an iteration is
+    ``y = y0 + W (s - u)`` (``W = A K``), one projection of the relaxed
+    ``alpha y + (1 - alpha) s`` and the dual update.  At residuals of
+    ``_ADMM_LOOSE_TOL`` a 25-step Newton polish is tried; when its point fails
+    the KKT tolerance the iteration goes on to ``1e-11`` and polishes again."""
     eigs = np.linalg.eigvalsh(data.H)
     if eigs.min(initial=0.0) < -1e-9 * max(1.0, abs(eigs).max(initial=1.0)):
         return []
-    rho = _ADMM_RHO
+    rho, alpha = _ADMM_RHO, _ADMM_RELAX
     n, m = data.n, data.m
     M = data.H + rho * data.A.T @ data.A
     try:
         M_chol = np.linalg.cholesky(M + 1e-14 * np.eye(n) * max(1.0, np.trace(M)))
     except np.linalg.LinAlgError:
         return []
+    # M^-1 [rho A^T, -(g + rho A^T c)] from the one factor
+    rhs = np.column_stack([rho * data.A.T, -(data.g + rho * data.A.T @ data.c)])
+    sol = np.linalg.solve(M_chol.T, np.linalg.solve(M_chol, rhs))
+    K, d0 = sol[:, :m], sol[:, m]
+    y0, W = data.c + data.A @ d0, data.A @ K
+    scale = data.scale
+    tol = _TOL * scale
+
+    def polish(s, u):
+        d, lam, _ = _newton_from(data, d0 + K @ (s - u), rho * u, 25)
+        return [(d, lam)] if kkt_residual(data, d, lam) <= tol else []
+
     s = cones.project(data.cone, data.c)
     u = np.zeros(m)
-    scale = data.scale
-    d = np.zeros(n)
+    loose = True
     for _ in range(_ADMM_MAX_ITERS):
-        rhs = -data.g - rho * data.A.T @ (data.c - s + u)
-        d = np.linalg.solve(M_chol.T, np.linalg.solve(M_chol, rhs))
-        y = data.c + data.A @ d
+        y = y0 + W @ (s - u)
+        y_relaxed = alpha * y + (1.0 - alpha) * s
         s_prev = s
-        s = cones.project(data.cone, y + u)
-        u = u + y - s
+        s = cones.project(data.cone, y_relaxed + u)
+        u = u + y_relaxed - s
         primal = float(np.linalg.norm(y - s))
         dual = rho * float(np.linalg.norm(data.A.T @ (s - s_prev)))
+        if loose and primal <= _ADMM_LOOSE_TOL * scale and dual <= _ADMM_LOOSE_TOL * scale:
+            loose = False
+            points = polish(s, u)
+            if points:
+                return points
         if primal <= 1e-11 * scale and dual <= 1e-11 * scale:
             break
-    lam = rho * u
-    # polish: a few Newton steps to machine-precision KKT residual
-    d, lam, _ = _newton_from(data, d, lam, 25)
-    return [(d, lam)] if kkt_residual(data, d, lam) <= _TOL * scale else []
+    return polish(s, u)
 
 
 # ---------------------------------------------------------------------------

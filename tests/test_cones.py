@@ -349,6 +349,16 @@ class TestSpecValidation:
         cone = cones.product(cones.orthant(2), cones.second_order(4))
         assert cone.total_dim == 6
         assert [b.dim for b in cone.blocks] == [2, 4]
+        assert [(b.kind, sl) for b, sl in cone.slices()] == [
+            ("orthant", slice(0, 2)), ("soc", slice(2, 6))]
+
+    def test_cached_layout_leaves_equality_hash_and_repr_alone(self):
+        blocks = (ConeBlock("zero", 1), ConeBlock("orthant", 2), ConeBlock("soc", 3))
+        cone, same = cones.ConeSpec(blocks), cones.ConeSpec(list(blocks))
+        assert cone == same and hash(cone) == hash(same) and hash(cone) == hash((blocks,))
+        assert cone != cones.ConeSpec(blocks[:2])
+        assert repr(cone) == f"ConeSpec(blocks={blocks!r})"
+        assert {cone: 1}[same] == 1
 
     def test_oracle_params_grid(self):
         grid = cones._T_GRID

@@ -238,10 +238,78 @@ class TestEngineAgreement:
             data = SubproblemData(H, rng.normal(size=n), A, c, cone)
             ss = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_SPLITTING))
             sn = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_NEWTON))
-            if ss.status == KKT_POINT and sn.status == KKT_POINT:
-                oe, os_ = data.objective(sn.d), data.objective(ss.d)
-                assert abs(oe - os_) <= 1e-6 * (1.0 + abs(oe)), trial
-                assert ss.residual <= 1e-8 and sn.residual <= 1e-8
+            assert ss.status == KKT_POINT and sn.status == KKT_POINT, trial
+            oe, os_ = data.objective(sn.d), data.objective(ss.d)
+            assert abs(oe - os_) <= 1e-6 * (1.0 + abs(oe)), trial
+            assert ss.residual <= 1e-8 and sn.residual <= 1e-8
+
+    def test_splitting_finds_constructed_solution_on_orthant_and_soc(self, rng):
+        # H positive definite, so the constructed d* is the only KKT point
+        cone = cones.product(cones.orthant(2), cones.second_order(3))
+        for trial in range(30):
+            n = int(rng.integers(2, 6))
+            active = rng.random(2) < 0.5
+            y_orth = np.where(active, 0.0, rng.uniform(0.5, 1.5, 2))
+            lam_orth = np.where(active, -rng.uniform(0.5, 1.5, 2), 0.0)
+            ybar = rng.normal(size=2)
+            ybar *= rng.uniform(0.5, 1.5) / np.linalg.norm(ybar)
+            r = float(np.linalg.norm(ybar))
+            if trial % 2:  # boundary of the second-order block, multiplier mu (ybar/r, -1)
+                y_soc, lam_soc = np.append(ybar, r), rng.uniform(0.5, 1.5) * np.append(ybar / r, -1.0)
+            else:  # interior, zero multiplier
+                y_soc, lam_soc = np.append(ybar, r + rng.uniform(0.5, 1.0)), np.zeros(3)
+            s_star, lam_star = np.concatenate([y_orth, y_soc]), np.concatenate([lam_orth, lam_soc])
+            B = rng.normal(size=(n, n))
+            H = B @ B.T / n + 0.5 * np.eye(n)
+            A = rng.normal(size=(5, n))
+            d_star = rng.normal(size=n)
+            data = SubproblemData(H, -H @ d_star - A.T @ lam_star, A, s_star - A @ d_star, cone)
+            points = splitting_solve(data)
+            assert len(points) == 1, trial
+            d, lam = points[0]
+            assert kkt_residual(data, d, lam) <= subproblem._TOL * data.scale, trial
+            assert np.linalg.norm(d - d_star) <= 1e-8 * (1.0 + np.linalg.norm(d_star)), trial
+
+
+class TestSplittingStops:
+    """The polish runs at the loose ADMM stop; when its point fails the KKT
+    tolerance, ADMM goes on to the tight stop and polishes once more."""
+
+    def spoil_polish(self, monkeypatch, spoiled: int):
+        """Make the first ``spoiled`` polishes return a point off by one in
+        ``d``; record every polish start."""
+        starts = []
+        newton_from = subproblem._newton_from
+
+        def polish(data, d0, lam0, max_iters):
+            starts.append(d0)
+            d, lam, res = newton_from(data, d0, lam0, max_iters)
+            return (d + 1.0, lam, res) if len(starts) <= spoiled else (d, lam, res)
+
+        monkeypatch.setattr(subproblem, "_newton_from", polish)
+        return starts
+
+    def test_first_polish_alone_when_it_passes(self, monkeypatch):
+        starts = self.spoil_polish(monkeypatch, 0)
+        points = splitting_solve(projection_subproblem())
+        assert len(starts) == 1 and len(points) == 1
+        assert np.allclose(points[0][0], [1.5, 0.0, 1.5], atol=1e-9)
+
+    def test_failed_first_polish_goes_on_to_the_tight_stop(self, monkeypatch):
+        data = projection_subproblem()
+        starts = self.spoil_polish(monkeypatch, 1)
+        points = splitting_solve(data)
+        assert len(starts) == 2 and len(points) == 1
+        d, lam = points[0]
+        assert np.allclose(d, [1.5, 0.0, 1.5], atol=1e-9)
+        assert kkt_residual(data, d, lam) <= subproblem._TOL * data.scale
+        # the second polish starts from ADMM's tight stop
+        assert np.linalg.norm(starts[1] - [1.5, 0.0, 1.5]) <= 1e-8
+
+    def test_both_polishes_failing_returns_no_point(self, monkeypatch):
+        starts = self.spoil_polish(monkeypatch, 2)
+        assert splitting_solve(projection_subproblem()) == []
+        assert len(starts) == 2
 
 
 def count_newton_starts(monkeypatch) -> list[int]:
