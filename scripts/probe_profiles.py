@@ -4,8 +4,13 @@ The perturbed-KKT probe records, per radius r, the worst ratio
 distance(solution, reference)/r over tilt/shift perturbations of norm r.
 An isolated-calm solution map keeps the profile flat; the critical
 multiplier of the squared-equality toy problem produces the r^(-1/2)
-blow-up predicted by its closed-form perturbed solutions.
+blow-up predicted by its closed-form perturbed solutions.  Each line ends
+with the wall time of that point's probe.
+
+    python scripts/probe_profiles.py
 """
+
+import time
 
 import numpy as np
 
@@ -17,6 +22,8 @@ CASES = [
     ("ex55", KKTPair([2.0], [0.0])),
     ("qp_orthant", None),
     ("soc_toy", None),
+    ("soc_degenerate", None),
+    ("critical_toy", KKTPair([0.0], [0.0])),
     ("critical_toy", KKTPair([0.0], [-1.0])),
 ]
 
@@ -25,9 +32,12 @@ def main():
     for name, z in CASES:
         p = registry.load_problem(name)
         z = z or p.reference
+        start = time.perf_counter()
         probe = diagnostics.probe_isolated_calmness(p, z)
+        wall = time.perf_counter() - start
         radii = " ".join(f"{s.max_ratio:>9.3g}" for s in probe.samples)
-        print(f"{name:<14} lam={np.round(z.lam, 3)!s:<16} {radii}   -> {probe.profile}")
+        point = f"x={np.round(z.x, 3)!s} lam={np.round(z.lam, 3)!s}"
+        print(f"{name:<14} {point:<28} {radii}   -> {probe.profile:<13} {wall:6.3f} s")
     print("\ncolumns: max ratio at r = " +
           ", ".join(f"{r:.0e}" for r in diagnostics.PROBE_RADII))
 

@@ -134,40 +134,78 @@ def project(cone: ConeSpec, y: np.ndarray) -> np.ndarray:
             out[..., sl] = np.maximum(y[..., sl], 0.0)
         elif y.ndim == 1:
             out[sl] = _project_soc(y[sl])
+        elif len(y) == 1:  # a stack of one point
+            out[0, sl] = _project_soc(y[0, sl])
         else:
-            for row_out, row in zip(out, y):
-                row_out[sl] = _project_soc(row[sl])
+            out[:, sl] = _project_soc_rows(y[:, sl])
     return out
 
 
-def projection_jacobian(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
-    """An element of the generalized Jacobian of the cone projection at z."""
-    m = cone.total_dim
-    P = np.zeros((m, m))
-    for block, sl in cone.slices():
-        zb = z[sl]
-        if block.kind == ZERO:
-            continue
-        if block.kind == ORTHANT:
-            diag = np.where(zb > 0.0, 1.0, np.where(zb < 0.0, 0.0, 0.5))
-            P[sl, sl] = np.diag(diag)
-        else:
-            zbar, zm = zb[:-1], zb[-1]
-            r = float(np.linalg.norm(zbar))
-            d = block.dim
-            if r <= zm:
-                P[sl, sl] = np.eye(d)
-            elif r <= -zm:
-                continue
-            else:
-                s = zbar / r
-                J = np.empty((d, d))
-                J[:-1, :-1] = 0.5 * ((1.0 + zm / r) * np.eye(d - 1) - (zm / r) * np.outer(s, s))
-                J[:-1, -1] = 0.5 * s
-                J[-1, :-1] = 0.5 * s
-                J[-1, -1] = 0.5
-                P[sl, sl] = J
+def _project_soc_rows(z: np.ndarray) -> np.ndarray:
+    """``_project_soc`` of each row of ``z``, bit for bit."""
+    zbar, zm = z[:, :-1], z[:, -1:]
+    r = np.sqrt(zbar[:, None, :] @ zbar[:, :, None])[:, 0]  # np.linalg.norm's bits
+    inside, polar = r <= zm, r <= -zm
+    boundary = ~inside & ~polar
+    r = np.where(boundary, r, 1.0)  # no division by zero where the formula is not taken
+    alpha = 0.5 * (r + zm)
+    proj = np.concatenate([alpha * zbar / r, alpha], axis=1)
+    return np.where(inside, z, np.where(polar, 0.0, proj))
+
+
+def _soc_jacobian(z: np.ndarray) -> np.ndarray:
+    """The generalized Jacobian block of ``_project_soc`` at one point."""
+    zbar, zm = z[:-1], z[-1]
+    r = float(np.linalg.norm(zbar))
+    d = len(z)
+    if r <= zm:
+        return np.eye(d)
+    if r <= -zm:
+        return np.zeros((d, d))
+    s = zbar / r
+    J = np.empty((d, d))
+    J[:-1, :-1] = 0.5 * ((1.0 + zm / r) * np.eye(d - 1) - (zm / r) * np.outer(s, s))
+    J[:-1, -1] = 0.5 * s
+    J[-1, :-1] = 0.5 * s
+    J[-1, -1] = 0.5
+    return J
+
+
+def _soc_jacobian_rows(z: np.ndarray) -> np.ndarray:
+    """``_soc_jacobian`` of each row of ``z``, bit for bit."""
+    B, d = z.shape
+    zbar, zm = z[:, :-1], z[:, -1]
+    r = np.sqrt(zbar[:, None, :] @ zbar[:, :, None])[:, 0, 0]  # np.linalg.norm's bits
+    inside = r <= zm
+    boundary = ~inside & ~(r <= -zm)  # projected onto the boundary, not the apex
+    P = np.zeros((B, d, d))
+    P[inside] = np.eye(d)
+    s, t = zbar[boundary] / r[boundary, None], (zm[boundary] / r[boundary])[:, None, None]
+    J = np.empty((len(s), d, d))
+    J[:, :-1, :-1] = 0.5 * ((1.0 + t) * np.eye(d - 1) - t * (s[:, :, None] * s[:, None, :]))
+    J[:, :-1, -1] = 0.5 * s
+    J[:, -1, :-1] = 0.5 * s
+    J[:, -1, -1] = 0.5
+    P[boundary] = J
     return P
+
+
+def projection_jacobian(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
+    """An element of the generalized Jacobian of the cone projection at z.
+
+    A stack ``(B, m)`` gives ``(B, m, m)``, each row bit for bit as alone."""
+    zs = z.reshape(-1, cone.total_dim)
+    P = np.zeros((len(zs), cone.total_dim, cone.total_dim))
+    for block, sl in cone.slices():
+        zb = zs[:, sl]
+        if block.kind == ORTHANT:
+            idx = np.arange(sl.start, sl.stop)
+            P[:, idx, idx] = np.where(zb > 0.0, 1.0, np.where(zb < 0.0, 0.0, 0.5))
+        elif block.kind == SOC and len(zs) == 1:  # one point, or a stack of one
+            P[0, sl, sl] = _soc_jacobian(zb[0])
+        elif block.kind == SOC:
+            P[:, sl, sl] = _soc_jacobian_rows(zb)
+    return P if z.ndim == 2 else P[0]
 
 
 PATTERN_BUDGET = 10  # orthant coordinates of an active-pattern search: 2**10 patterns

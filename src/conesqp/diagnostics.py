@@ -51,7 +51,6 @@ _TOL = 1e-8  # KKT gate
 _SAMPLE_COUNT = 100  # safety-net samples for non-polyhedral searches
 PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _PROBE_BALL = 0.5  # probe solutions farther than this from the point are ignored
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -541,13 +540,12 @@ def _perturbed_kkt(p: ProblemSpec, x, lam, v, w):
     stationarity ``r1``, complementarity ``r2``, the shifted value
     ``y = f(x) + w`` and the constraint Jacobian.
 
-    Stacks ``x`` ``(B, n)`` and ``lam`` ``(B, m)`` give stacked rows, bit for
-    bit those of each point alone, except ``jac_f^T lam`` in ``r1``: its
-    batched sum may round in another order."""
+    Stacks ``x`` ``(B, n)`` and ``lam`` ``(B, m)``, with one perturbation or a
+    stack of them, give stacked rows, bit for bit those of each point alone."""
     _, grad = expr.eval1(p.objective, x)
     f_val, jac_f = problem_mod.constraint_values(p, x)
     y = f_val + w
-    jt_lam = jac_f.T @ lam if x.ndim == 1 else (lam[:, None, :] @ jac_f)[:, 0]
+    jt_lam = (jac_f.swapaxes(-1, -2) @ lam[..., None])[..., 0]
     return grad - v + jt_lam, y - cones.project(p.cone, y + lam), y, jac_f
 
 
@@ -556,44 +554,19 @@ def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
     return float(np.linalg.norm(r1)) + float(np.linalg.norm(r2)) + cones.distance(p.cone, y)
 
 
-def _perturbed_screen(p: ProblemSpec, v, w):
-    """Screen for ``damped_newton``: per row of a stack of points, a lower
-    bound of the norm that ``_newton_perturbed``'s residual computes there.
-
-    The stacked ``_perturbed_kkt`` differs from the single-point one only in
-    ``jac_f^T lam``.  Summed in any order, each entry of it is within
-    ``m u sum_i |J_ij lam_i|`` of the exact sum (u = eps / 2), so the two
-    differ by at most ``2 m eps ||(|J|^T |lam|)||``; the relative factor
-    covers the rounding of the two norms and of the last addition.  A zero
-    denominator in any row gives None, and every step then goes through the
-    residual as before."""
-    rel = 1.0 - (p.n + p.m + 4) * _EPS
-
-    def screen(x, lam):
-        with np.errstate(all="ignore"):
-            try:
-                r1, r2, _, jac_f = _perturbed_kkt(p, x, lam, v, w)
-            except expr.EvalError:
-                return None
-            spread = (np.abs(lam)[:, None, :] @ np.abs(jac_f))[:, 0]
-            return (rel * np.sqrt(np.sum(r1 * r1, axis=1) + np.sum(r2 * r2, axis=1))
-                    - 2 * p.m * _EPS * np.sqrt(np.sum(spread * spread, axis=1)))
-
-    return screen
-
-
 def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
-    """Damped semismooth Newton on the tilt/shift perturbed KKT residual."""
+    """Damped semismooth Newton, in lockstep, on tilt/shift perturbed KKT
+    residuals: the start ``(x0[b], lam0[b])`` solves the system perturbed by
+    ``(v[b], w[b])``."""
 
-    def residual(x, lam):
-        return np.concatenate(_perturbed_kkt(p, x, lam, v, w)[:2])
+    def residual(x, lam, rows):
+        return np.concatenate(_perturbed_kkt(p, x, lam, v[rows], w[rows])[:2], axis=1)
 
-    def linearize(x, lam):
+    def linearize(x, lam, rows):
         data = problem_mod.lagrangian_data(p, KKTPair(x, lam))
-        return data.hess_xx, data.jac_f, data.f_val + w
+        return data.hess_xx, data.jac_f, data.f_val + w[rows]
 
-    return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters,
-                         screen=_perturbed_screen(p, v, w))
+    return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters)
 
 
 def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
@@ -648,29 +621,36 @@ def _pattern_newton(p: ProblemSpec, z: KKTPair, v, w, active, max_iters=60):
     return x, lam_full
 
 
-def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, rng_seed: int) -> list[KKTPair]:
-    """All perturbed-KKT solutions found near z (pattern enumeration plus
-    multi-start semismooth Newton)."""
-    sols: list[KKTPair] = []
-    if p.cone.is_polyhedral:
-        sols.extend(_pattern_solutions(p, z, v, w))
-    rng = np.random.default_rng(rng_seed)
-    r = float(np.linalg.norm(np.concatenate([v, w])))
-    spreads = [0.0, r, math.sqrt(max(r, 0.0)), 0.1, 0.45]
-    for spread in spreads:
-        x0 = z.x + spread * rng.normal(size=p.n)
-        lam0 = z.lam + spread * rng.normal(size=p.m)
-        x, lam, res = _newton_perturbed(p, z.x if spread == 0.0 else x0,
-                                        z.lam if spread == 0.0 else lam0, v, w)
+def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, seeds) -> list[list[KKTPair]]:
+    """All perturbed-KKT solutions found near z, for each row of ``(v, w)``:
+    pattern enumeration (polyhedral cones) and five Newton starts, which row
+    ``i`` draws from ``default_rng(seeds[i])``.  The starts of every row run
+    in one lockstep ``damped_newton`` call."""
+    x0, lam0 = [], []
+    for vi, wi, seed in zip(v, w, seeds):
+        rng = np.random.default_rng(seed)
+        r = float(np.linalg.norm(np.concatenate([vi, wi])))
+        for spread in (0.0, r, math.sqrt(max(r, 0.0)), 0.1, 0.45):
+            xs = z.x + spread * rng.normal(size=p.n)
+            ls = z.lam + spread * rng.normal(size=p.m)
+            x0.append(z.x if spread == 0.0 else xs)
+            lam0.append(z.lam if spread == 0.0 else ls)
+    starts = len(x0) // len(v)
+    x, lam, res = _newton_perturbed(p, np.array(x0), np.array(lam0),
+                                    np.repeat(v, starts, axis=0), np.repeat(w, starts, axis=0))
+    out = []
+    for i, (vi, wi) in enumerate(zip(v, w)):
+        sols = _pattern_solutions(p, z, vi, wi) if p.cone.is_polyhedral else []
         # res bounds both residual parts, and dist(y) <= ||r2|| because
         # proj(y + lam) lies in the cone: _perturbed_residual is at most 3 res
-        if res <= 1e-9:
-            sols.append(KKTPair(x, lam))
-    unique: list[KKTPair] = []
-    for s in sols:
-        if all(s.distance_to(t) > 1e-9 for t in unique):
-            unique.append(s)
-    return unique
+        sols += [KKTPair(x[b], lam[b])
+                 for b in range(starts * i, starts * (i + 1)) if res[b] <= 1e-9]
+        unique: list[KKTPair] = []
+        for s in sols:
+            if all(s.distance_to(t) > 1e-9 for t in unique):
+                unique.append(s)
+        out.append(unique)
+    return out
 
 
 def probe_isolated_calmness(
@@ -692,18 +672,18 @@ def probe_isolated_calmness(
     for _ in range(cfg.probe_samples):
         d = rng.normal(size=dim)
         dirs.append(d / float(np.linalg.norm(d)))
+    dirs = np.array(dirs)
 
     samples = []
     for ri, radius in enumerate(PROBE_RADII):
         best, found = 0.0, 0
-        for si, direction in enumerate(dirs):
-            v = radius * direction[: p.n]
-            w = radius * direction[p.n :]
-            for s in _solve_perturbed(p, z, v, w, rng_seed=cfg.seed + 1000 * ri + si):
-                dist = s.distance_to(z)
-                if dist <= _PROBE_BALL:
-                    found += 1
-                    best = max(best, dist / radius)
+        seeds = [cfg.seed + 1000 * ri + si for si in range(len(dirs))]
+        solved = _solve_perturbed(p, z, radius * dirs[:, : p.n], radius * dirs[:, p.n :], seeds)
+        for s in (s for sols in solved for s in sols):
+            dist = s.distance_to(z)
+            if dist <= _PROBE_BALL:
+                found += 1
+                best = max(best, dist / radius)
         samples.append(RadiusSample(radius, best, found, len(dirs)))
     profile, growth = _classify_profile(samples)
     return ProbeResult(tuple(samples), profile, growth)

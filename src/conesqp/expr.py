@@ -278,11 +278,19 @@ def eval2(ast: ExprAST, x: np.ndarray) -> SecondOrderValue:
     """Evaluate value, gradient and Hessian of ``ast`` at ``x``.
 
     Exact (up to rounding) for polynomial input; division requires a
-    nonzero denominator at the evaluation point.
+    nonzero denominator at the evaluation point.  ``x`` may also be a stack
+    of points ``(B, n)``: values ``(B,)``, gradients ``(B, n)`` and Hessians
+    ``(B, n, n)`` are then, row by row, bit for bit those of the single
+    points, and a zero denominator in any row raises ``EvalError``.
     """
+    x = np.asarray(x, dtype=float)
     v, g, h = _eval_root(ast, x, True)
-    h = 0.5 * (h + h.T)
-    return SecondOrderValue(v, g, h)
+    h = 0.5 * (h + h.swapaxes(-1, -2))
+    if x.ndim == 1:
+        return SecondOrderValue(v, g, h)
+    values, grads, hess = np.empty((len(x), 1)), np.empty(x.shape), np.empty(x.shape + x.shape[-1:])
+    values[...], grads[...], hess[...] = v, g, h
+    return SecondOrderValue(values[:, 0], grads, hess)
 
 
 def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -304,7 +312,7 @@ def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _eval_root(ast: ExprAST, x, hess: bool):
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (ast.n,) or x.ndim > (1 if hess else 2):
+    if x.shape[-1:] != (ast.n,) or x.ndim > 2:
         raise ValueError(f"point has shape {x.shape}, expected ({ast.n},)")
     try:
         return _eval(ast.root, x, ast.n, hess)
@@ -317,18 +325,36 @@ def _row_power(b: np.ndarray, k: int) -> np.ndarray:
 
     numpy's array power does not give the bits of its scalar power (squares
     differ in about 1 of 1,000 random values), so a stack takes this path.
-    ``pow(t, 1)`` is ``t`` exactly, so ``k = 1`` needs no loop."""
+    ``pow(t, 1)`` is ``t`` and ``pow(t, 0)`` is 1 exactly, so neither needs a loop."""
     if k == 1:
         return b
+    if k == 0:
+        return np.ones_like(b)
     return np.array([t ** k for t in b.ravel()]).reshape(b.shape)
+
+
+def _col(v):
+    """A stacked value ``(B, 1)`` as ``(B, 1, 1)``, to scale stacked Hessians."""
+    return v[..., None] if isinstance(v, np.ndarray) else v
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.outer`` of gradients, row by row for stacks ``(B, n)``."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _power(b, k: int):
+    """``b ** k`` of a value: the scalar power, row by row for a stack."""
+    return _row_power(b, k) if isinstance(b, np.ndarray) else b ** k
 
 
 def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
     """``(value, gradient, Hessian)`` of ``node``; the Hessian is None unless ``hess``.
 
-    For a stack ``x`` of shape ``(B, n)`` (``hess`` False) a value is a
-    ``(B, 1)`` column and a gradient ``(B, n)``, so every rule broadcasts
-    unchanged; subtrees free of variables keep their scalar values."""
+    For a stack ``x`` of shape ``(B, n)`` a value is a ``(B, 1)`` column, a
+    gradient ``(B, n)`` and a Hessian ``(B, n, n)``, so every rule broadcasts
+    unchanged once ``_col`` lifts the values that scale a Hessian; subtrees
+    free of variables keep their scalar values."""
     if isinstance(node, Const):
         return node.value, np.zeros(n), np.zeros((n, n)) if hess else None
     if isinstance(node, Var):
@@ -351,7 +377,7 @@ def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
         return (
             va * vb,
             ga * vb + va * gb,
-            ha * vb + va * hb + np.outer(ga, gb) + np.outer(gb, ga) if hess else None,
+            ha * _col(vb) + _col(va) * hb + _outer(ga, gb) + _outer(gb, ga) if hess else None,
         )
     if isinstance(node, Div):
         va, ga, ha = _eval(node.left, x, n, hess)
@@ -361,8 +387,9 @@ def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
             raise EvalError("division by zero")
         q = va / vb
         gq = (ga - q * gb) / vb
-        hq = (ha - q * hb - np.outer(gq, gb) - np.outer(gb, gq)) / vb if hess else None
-        return q, gq, hq
+        if not hess:
+            return q, gq, None
+        return q, gq, (ha - _col(q) * hb - _outer(gq, gb) - _outer(gb, gq)) / _col(vb)
     if isinstance(node, Pow):
         vb, gb, hb = _eval(node.base, x, n, hess)
         k = node.exponent
@@ -370,11 +397,11 @@ def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
             return 1.0, np.zeros(n), np.zeros((n, n)) if hess else None
         if k == 1:
             return vb, gb, hb
-        vk1 = _row_power(vb, k - 1) if isinstance(vb, np.ndarray) else vb ** (k - 1)
+        vk1 = _power(vb, k - 1)
         v = vk1 * vb
         g = k * vk1 * gb
         if not hess:
             return v, g, None
-        h = k * vk1 * hb + k * (k - 1) * vb ** (k - 2) * np.outer(gb, gb)
+        h = _col(k * vk1) * hb + _col(k * (k - 1) * _power(vb, k - 2)) * _outer(gb, gb)
         return v, g, h
     raise TypeError(node)  # pragma: no cover

@@ -94,20 +94,27 @@ def constraint_values(p: ProblemSpec, x: np.ndarray):
 
 
 def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
-    obj = expr.eval2(p.objective, z.x)
-    f_val = np.empty(p.m)
-    jac_f = np.empty((p.m, p.n))
-    f_hess = np.empty((p.m, p.n, p.n))
+    """Gradients, Hessian and constraint data of the Lagrangian at ``z``.
+
+    A pair of stacks ``x`` ``(B, n)`` and ``lam`` ``(B, m)`` gives every field
+    stacked, row by row bit for bit that of the point alone."""
+    x, lam = z.x, z.lam
+    stack = x.shape[:-1]
+    obj = expr.eval2(p.objective, x)
+    f_val = np.empty(stack + (p.m,))
+    jac_f = np.empty(stack + (p.m, p.n))
+    f_hess = np.empty(stack + (p.m, p.n, p.n))
     for i, c in enumerate(p.constraints):
-        so = expr.eval2(c, z.x)
-        f_val[i], jac_f[i], f_hess[i] = so.value, so.gradient, so.hessian
-    # the reshape and dot that np.tensordot(lam, f_hess, axes=1) performs, without its overhead
-    lam_hess = np.dot(z.lam.reshape(1, p.m), f_hess.reshape(p.m, p.n * p.n)).reshape(p.n, p.n)
+        so = expr.eval2(c, x)
+        f_val[..., i], jac_f[..., i, :], f_hess[..., i, :, :] = so.value, so.gradient, so.hessian
+    # lam . f_hess as one (1, m) @ (m, n*n) product per point, not np.tensordot
+    lam_hess = (lam[..., None, :] @ f_hess.reshape(stack + (p.m, p.n * p.n))).reshape(
+        stack + (p.n, p.n))
     hess = obj.hessian + lam_hess
     return LagrangianData(
         grad_obj=obj.gradient,
-        grad_x=obj.gradient + jac_f.T @ z.lam,
-        hess_xx=0.5 * (hess + hess.T),
+        grad_x=obj.gradient + (jac_f.swapaxes(-1, -2) @ lam[..., None])[..., 0],
+        hess_xx=0.5 * (hess + hess.swapaxes(-1, -2)),
         f_val=f_val,
         jac_f=jac_f,
     )

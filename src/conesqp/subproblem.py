@@ -35,6 +35,7 @@ import numpy as np
 
 from . import cones, polyhedra
 from .cones import ConeSpec
+from .expr import EvalError
 from .polyhedra import BudgetExceeded, Polyhedron
 
 KKT_POINT = "KKTPoint"
@@ -56,8 +57,7 @@ _ADMM_MAX_ITERS = 20_000
 _ADMM_RELAX = 1.6  # over-relaxation factor alpha (OSQP, Stellato et al. 2020, sec. 3.3)
 _ADMM_LOOSE_TOL = 1e-6  # ADMM residuals, relative to SubproblemData.scale, of the first polish
 _RAY_TRIES = 512  # sampled descent-ray candidates of each kind
-_ARMIJO_STEPS = tuple(0.5**k for k in range(30))  # damped Newton step lengths, in order
-_HALVED_STEPS = np.array(_ARMIJO_STEPS[1:])
+_ARMIJO_STEPS = 0.5 ** np.arange(30)  # damped Newton step lengths, in order
 
 
 @dataclass(frozen=True)
@@ -202,73 +202,139 @@ def _dedupe(points, tol):
 # Semismooth Newton engine
 
 
-def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max_iters: int,
-                  screen=None):
-    """Damped semismooth Newton on a projection residual of a cone-constrained KKT system.
+def _row_norms(F: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of ``F``, bit for bit: its ``sqrt(f . f)``
+    as a batched product (``norm(axis=-1)`` and ``einsum`` sum in another order)."""
+    return np.sqrt(F[..., None, :] @ F[..., :, None])[..., 0, 0]
 
-    ``residual(x, lam)`` is the stacked vector ``(stationarity, y - proj(y + lam))``
-    and ``linearize(x, lam)`` returns ``(H, A, y)``: the Lagrangian Hessian,
-    the constraint Jacobian and the constraint value ``y``.  Each step
-    halves (at most 30 times) until the Armijo decrease holds; when it never
-    does the run stops where it stands.  Returns ``(x, lam, ||F||)``.
 
-    ``screen(X, LAM)``, when given, receives the points of all 29 halved steps
-    at once, after the full step fails, and returns for each row a number no
-    larger than the norm of ``residual`` there (or None when it cannot tell).
-    A step whose number already fails the Armijo bound is skipped without a
-    call to ``residual``; every other step goes through ``residual`` as
-    before, so the screen changes no iterate and no bit of the result.
-    """
-    n, m = x0.shape[0], cone.total_dim
-    x, lam = x0.copy(), lam0.copy()
-    F = residual(x, lam)
-    for _ in range(max_iters):
-        nrm = float(np.linalg.norm(F))
-        if nrm <= tol:
-            break
-        H, A, y = linearize(x, lam)
-        P = cones.projection_jacobian(cone, y + lam)
-        J = np.zeros((n + m, n + m))
-        J[:n, :n] = H
-        J[:n, n:] = A.T
-        J[n:, :n] = (np.eye(m) - P) @ A
-        J[n:, n:] = -P
+def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The rows of ``J step = -F``: one batched solve, or row by row for one
+    row or a stack with a singular ``J``, where a singular row takes ``lstsq``."""
+    if len(F) > 1:
         try:
-            step = np.linalg.solve(J, -F)
+            return np.linalg.solve(J, -F[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        lower = None  # screened lower bounds of the halved steps' norms
-        for k, alpha in enumerate(_ARMIJO_STEPS):
-            bound = (1.0 - 1e-4 * alpha) * nrm
-            if lower is not None and lower[k - 1] >= bound:
-                continue
-            x_new, lam_new = x + alpha * step[:n], lam + alpha * step[n:]
-            F_new = residual(x_new, lam_new)
-            if float(np.linalg.norm(F_new)) < bound:
-                break
-            if k == 0 and screen is not None:
-                scaled = _HALVED_STEPS[:, None] * step
-                lower = screen(x + scaled[:, :n], lam + scaled[:, n:])
-                if lower is not None:  # a row that is not finite is not screened
-                    lower = np.where(np.isfinite(lower), lower, -np.inf)
-        else:
-            return x, lam, nrm  # stalled
-        x, lam, F = x_new, lam_new, F_new
-    return x, lam, float(np.linalg.norm(F))
+            pass
+    steps = np.empty_like(F)
+    for b in range(len(F)):
+        try:
+            steps[b] = np.linalg.solve(J[b], -F[b])
+        except np.linalg.LinAlgError:
+            steps[b] = np.linalg.lstsq(J[b], -F[b], rcond=None)[0]
+    return steps
+
+
+def _halved_steps(residual, x, lam, step, nrm, rows):
+    """Per row, the first halved step ``2^-k`` (k = 1 ... 29) that passes the
+    Armijo decrease: ``k``, an index into ``_ARMIJO_STEPS`` (-1 where none
+    does), and the residual there.
+
+    All 29 steps of all rows go through one ``residual`` call.  A point that
+    is not evaluable there (``EvalError``) may be one that the row alone never
+    reaches, so then every row tries its steps one at a time, in order, and
+    an error is raised only where a row alone raises it."""
+    R, n = x.shape
+    K = len(_ARMIJO_STEPS)
+    scaled = _ARMIJO_STEPS[1:, None] * step[:, None, :]  # (R, K - 1, n + m)
+    X = x[:, None, :] + scaled[..., :n]
+    LAM = lam[:, None, :] + scaled[..., n:]
+    bounds = (1.0 - 1e-4 * _ARMIJO_STEPS[1:]) * nrm[:, None]
+    first = np.full(R, -1)
+    try:
+        with np.errstate(all="ignore"):  # points a row alone may never reach
+            F = residual(X.reshape(R * (K - 1), n), LAM.reshape(R * (K - 1), -1),
+                         np.repeat(rows, K - 1))
+            passed = _row_norms(F).reshape(R, K - 1) < bounds
+    except EvalError:
+        F_first = np.empty((R, step.shape[1]))
+        for r in range(R):
+            for k in range(1, K):
+                f = residual(X[r, k - 1][None], LAM[r, k - 1][None], rows[r : r + 1])
+                if _row_norms(f)[0] < bounds[r, k - 1]:
+                    first[r], F_first[r] = k, f[0]
+                    break
+        return first, F_first
+    found = passed.any(axis=1)
+    first[found] = passed[found].argmax(axis=1) + 1
+    return first, F.reshape(R, K - 1, -1)[np.arange(R), first - 1]
+
+
+def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max_iters: int):
+    """Damped semismooth Newton on a projection residual of a cone-constrained
+    KKT system, in lockstep over a stack of starts ``x0`` ``(B, n)``, ``lam0``
+    ``(B, m)``.
+
+    ``residual(x, lam, rows)`` gives the stacked rows ``(stationarity,
+    y - proj(y + lam))`` and ``linearize(x, lam, rows)`` returns ``(H, A, y)``:
+    the Lagrangian Hessians, the constraint Jacobians (either may be one
+    matrix for every row) and the constraint values; ``rows`` names the start
+    of each point.  Each start halves its step (at most 29 times) until the
+    Armijo decrease holds, and stops where it stands when it never does.  An
+    iteration makes one stacked ``linearize``, projection Jacobian, solve and
+    full-step residual for the live starts, plus one ``_halved_steps`` call
+    for those whose full step fails; every row is bit for bit the run of its
+    start alone.  Returns ``(x, lam, ||F||)``, stacked.
+    """
+    n, m = x0.shape[1], cone.total_dim
+    X, LAM = x0.copy(), lam0.copy()
+    rows = np.arange(len(X))
+    F = residual(X, LAM, rows)
+    RES = _row_norms(F)
+    x, lam, nrm = X, LAM, RES  # the live rows
+    live = ~(nrm <= tol)
+    eye = np.eye(m)
+    for _ in range(max_iters):
+        if np.count_nonzero(live) < len(rows):  # rows leave converged or stalled
+            X[rows], LAM[rows], RES[rows] = x, lam, nrm
+            rows, x, lam, F, nrm = rows[live], x[live], lam[live], F[live], nrm[live]
+            if not rows.size:
+                return X, LAM, RES
+        H, A, y = linearize(x, lam, rows)
+        P = cones.projection_jacobian(cone, y + lam)
+        J = np.zeros((len(rows), n + m, n + m))
+        J[:, :n, :n] = H
+        J[:, :n, n:] = A.swapaxes(-1, -2)
+        J[:, n:, :n] = (eye - P) @ A
+        J[:, n:, n:] = -P
+        step = _newton_steps(J, F)
+        x_new, lam_new = x + step[:, :n], lam + step[:, n:]
+        F_new = residual(x_new, lam_new, rows)
+        nrm_new = _row_norms(F_new)
+        live = nrm_new < (1.0 - 1e-4) * nrm
+        if np.count_nonzero(live) < len(rows):
+            short = np.flatnonzero(~live)
+            first, F_short = _halved_steps(residual, x[short], lam[short], step[short],
+                                           nrm[short], rows[short])
+            ok = first > 0
+            stalled, short = short[~ok], short[ok]
+            alpha = _ARMIJO_STEPS[first[ok], None]
+            x_new[short] = x[short] + alpha * step[short, :n]
+            lam_new[short] = lam[short] + alpha * step[short, n:]
+            F_new[short], nrm_new[short] = F_short[ok], _row_norms(F_short[ok])
+            live[short] = True
+            # a stalled row keeps its point and norm
+            x_new[stalled], lam_new[stalled], nrm_new[stalled] = x[stalled], lam[stalled], nrm[stalled]
+        x, lam, F, nrm = x_new, lam_new, F_new, nrm_new
+        live &= nrm > tol  # an accepted norm is not nan
+    X[rows], LAM[rows], RES[rows] = x, lam, nrm
+    return X, LAM, RES
 
 
 def _newton_from(data: SubproblemData, d0, lam0, max_iters: int):
-    def residual(d, lam):
-        y = data.c + data.A @ d
-        return np.concatenate(
-            [data.g + data.H @ d + data.A.T @ lam, y - cones.project(data.cone, y + lam)]
-        )
+    """``damped_newton`` from one start, as a one-row stack."""
 
-    def linearize(d, lam):
-        return data.H, data.A, data.c + data.A @ d
+    def residual(d, lam, rows):
+        y = data.c + (data.A @ d[:, :, None])[:, :, 0]
+        stat = data.g + (data.H @ d[:, :, None])[:, :, 0] + (data.A.T @ lam[:, :, None])[:, :, 0]
+        return np.concatenate([stat, y - cones.project(data.cone, y + lam)], axis=1)
+
+    def linearize(d, lam, rows):
+        return data.H, data.A, data.c + (data.A @ d[:, :, None])[:, :, 0]
 
     tol = 1e-13 * (1.0 + float(np.linalg.norm(data.g)))
-    return damped_newton(data.cone, residual, linearize, d0, lam0, tol, max_iters)
+    d, lam, res = damped_newton(data.cone, residual, linearize, d0[None], lam0[None], tol, max_iters)
+    return d[0], lam[0], float(res[0])
 
 
 def _positive_definite(H: np.ndarray) -> bool:

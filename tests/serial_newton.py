@@ -1,0 +1,87 @@
+"""The serial damped semismooth Newton loop, one start at a time: a reference
+for tests of the lockstep ``subproblem.damped_newton``.
+
+``damped_newton`` here is the kernel as it ran before it took stacks: one
+point, the Armijo step lengths tried one after another, and the projection
+Jacobian built block by block.  A lockstep row must give exactly its bits.
+"""
+
+import numpy as np
+
+from conesqp import cones, diagnostics, problem
+from conesqp.problem import KKTPair
+
+ARMIJO_STEPS = tuple(0.5**k for k in range(30))
+
+
+def projection_jacobian(cone, z):
+    m = cone.total_dim
+    P = np.zeros((m, m))
+    for block, sl in cone.slices():
+        zb = z[sl]
+        if block.kind == cones.ZERO:
+            continue
+        if block.kind == cones.ORTHANT:
+            diag = np.where(zb > 0.0, 1.0, np.where(zb < 0.0, 0.0, 0.5))
+            P[sl, sl] = np.diag(diag)
+        else:
+            zbar, zm = zb[:-1], zb[-1]
+            r = float(np.linalg.norm(zbar))
+            d = block.dim
+            if r <= zm:
+                P[sl, sl] = np.eye(d)
+            elif r <= -zm:
+                continue
+            else:
+                s = zbar / r
+                J = np.empty((d, d))
+                J[:-1, :-1] = 0.5 * ((1.0 + zm / r) * np.eye(d - 1) - (zm / r) * np.outer(s, s))
+                J[:-1, -1] = 0.5 * s
+                J[-1, :-1] = 0.5 * s
+                J[-1, -1] = 0.5
+                P[sl, sl] = J
+    return P
+
+
+def damped_newton(cone, residual, linearize, x0, lam0, tol, max_iters):
+    """``(x, lam, ||F||)`` of one start; ``residual`` and ``linearize`` take one point."""
+    n, m = x0.shape[0], cone.total_dim
+    x, lam = x0.copy(), lam0.copy()
+    F = residual(x, lam)
+    for _ in range(max_iters):
+        nrm = float(np.linalg.norm(F))
+        if nrm <= tol:
+            break
+        H, A, y = linearize(x, lam)
+        P = projection_jacobian(cone, y + lam)
+        J = np.zeros((n + m, n + m))
+        J[:n, :n] = H
+        J[:n, n:] = A.T
+        J[n:, :n] = (np.eye(m) - P) @ A
+        J[n:, n:] = -P
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            step, *_ = np.linalg.lstsq(J, -F, rcond=None)
+        for alpha in ARMIJO_STEPS:
+            x_new, lam_new = x + alpha * step[:n], lam + alpha * step[n:]
+            F_new = residual(x_new, lam_new)
+            if float(np.linalg.norm(F_new)) < (1.0 - 1e-4 * alpha) * nrm:
+                break
+        else:
+            return x, lam, nrm  # stalled
+        x, lam, F = x_new, lam_new, F_new
+    return x, lam, float(np.linalg.norm(F))
+
+
+def newton_perturbed(p, x0, lam0, v, w, max_iters=60):
+    """One start of the probe's perturbed KKT solve, serially."""
+
+    def residual(x, lam):
+        return np.concatenate(diagnostics._perturbed_kkt(p, x, lam, v, w)[:2])
+
+    def linearize(x, lam):
+        data = problem.lagrangian_data(p, KKTPair(x, lam))
+        return data.hess_xx, data.jac_f, data.f_val + w
+
+    return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters)

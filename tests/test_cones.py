@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from conesqp import cones
 from conesqp.cones import ConeBlock
 
+import serial_newton
+
 SOC3 = cones.second_order(3)
 ORTH2 = cones.orthant(2)
 
@@ -67,6 +69,24 @@ class TestProjection:
                 pa, pb = cones.project(cone, a), cones.project(cone, b)
                 assert np.allclose(cones.project(cone, pa), pa, atol=1e-12), name
                 assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12, name
+
+
+def test_stacked_projection_and_its_jacobian_are_the_single_point_ones(rng):
+    # random rows plus the case boundaries: zero coordinates, a second-order
+    # block on its boundary, at its apex and on the polar boundary
+    cone = KINDS["mixed"]
+    Z = rng.normal(size=(200, 6)) * 10.0 ** rng.uniform(-3, 3, size=(200, 1))
+    Z[::4, :3] = 0.0
+    Z[1::4, 3:] = [3.0, 4.0, 5.0]
+    Z[2::4, 3:] = [-3.0, 4.0, -5.0]
+    Z[3::8, 3:] = 0.0
+    proj, P = cones.project(cone, Z), cones.projection_jacobian(cone, Z)
+    assert proj.shape == (200, 6) and P.shape == (200, 6, 6)
+    for z, pz, Pz in zip(Z, proj, P):
+        assert np.array_equal(pz, cones.project(cone, z))
+        assert np.array_equal(cones.project(cone, z[None])[0], pz)
+        assert np.array_equal(Pz, serial_newton.projection_jacobian(cone, z))
+        assert np.array_equal(cones.projection_jacobian(cone, z), Pz)
 
 
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),

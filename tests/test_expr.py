@@ -234,11 +234,59 @@ class TestStackedEval1:
         with pytest.raises(expr.EvalError):
             expr.eval1(expr.parse("1/x1", 1), X)
 
-    def test_shapes_are_checked_and_the_hessian_is_not_stacked(self):
+    def test_shapes_are_checked(self):
         with pytest.raises(ValueError):
             expr.eval1(expr.parse("x1", 1), np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            expr.eval2(expr.parse("x1", 1), np.zeros((3, 1)))
+            expr.eval1(expr.parse("x1", 1), np.zeros((2, 3, 1)))
+
+
+class TestStackedEval2:
+    """A stack of points ``(B, n)`` gives, row by row, the single-point value,
+    gradient and Hessian bits."""
+
+    @staticmethod
+    def assert_rows_match(ast, X):
+        so = expr.eval2(ast, X)
+        n = X.shape[1]
+        assert so.value.shape == (len(X),) and so.gradient.shape == X.shape
+        assert so.hessian.shape == (len(X), n, n)
+        for b, row in enumerate(X):
+            single = expr.eval2(ast, row)
+            assert np.array_equal(so.value[b], single.value)
+            assert np.array_equal(so.gradient[b], single.gradient)
+            assert np.array_equal(so.hessian[b], single.hessian)
+
+    def test_rows_match_single_points_bit_for_bit(self, rng):
+        for i in range(600):
+            n = int(rng.integers(1, 4))
+            root = random_ast(rng, n, depth=4)
+            if i % 3 == 0:  # a denominator that stays away from zero
+                root = Div(root, Add(Const(1.5), Pow(random_ast(rng, n, 2), 2)))
+            X = rng.normal(size=(7, n)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1))
+            self.assert_rows_match(expr.ExprAST(root, n), X)
+
+    def test_powers_follow_the_scalar_pow(self, rng):
+        # the Hessian of x^4 takes pow(t, 2) of the base as well
+        X = (1.0 + rng.integers(0, 2**26, size=(2000, 1)) * 2.0**-26)
+        for text in ("x1^3", "x1^4", "(x1 - 1)^5/3"):
+            self.assert_rows_match(expr.parse(text, 1), X)
+
+    def test_constant_expression_fills_every_row(self):
+        so = expr.eval2(expr.parse("2^3 - 1", 2), np.ones((3, 2)))
+        assert np.array_equal(so.value, [7.0, 7.0, 7.0])
+        assert np.array_equal(so.gradient, np.zeros((3, 2)))
+        assert np.array_equal(so.hessian, np.zeros((3, 2, 2)))
+
+    def test_zero_denominator_in_any_row_raises(self):
+        with pytest.raises(expr.EvalError):
+            expr.eval2(expr.parse("1/x1", 1), np.array([[1.0], [0.0], [2.0]]))
+
+    def test_shapes_are_checked(self):
+        with pytest.raises(ValueError):
+            expr.eval2(expr.parse("x1", 1), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            expr.eval2(expr.parse("x1", 1), np.zeros((2, 3, 1)))
 
 
 # round-trips: parse(to_string(ast)) reproduces the tree exactly on the

@@ -48,6 +48,16 @@ class TestLagrangian:
                 H_fd = fd_hessian_of_lagrangian(p, z)
                 assert np.linalg.norm(H - H_fd) <= 1e-6 * (1 + np.linalg.norm(H_fd))
 
+    def test_stacked_rows_are_single_point_bits(self, reg, rng):
+        for entry in reg.values():
+            p = entry.problem
+            X, L = rng.normal(size=(9, p.n)), rng.normal(size=(9, p.m))
+            stacked = problem.lagrangian_data(p, KKTPair(X, L))
+            for b in range(len(X)):
+                single = problem.lagrangian_data(p, KKTPair(X[b], L[b]))
+                for name in ("grad_obj", "grad_x", "hess_xx", "f_val", "jac_f"):
+                    assert np.array_equal(getattr(stacked, name)[b], getattr(single, name)), name
+
 
 class TestKKTResidual:
     def test_reference_points_solve_kkt(self, reg):

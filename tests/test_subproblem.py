@@ -20,6 +20,8 @@ from conesqp.subproblem import (
     splitting_solve,
 )
 
+import serial_newton
+
 
 def ex55_subproblem(u: float) -> SubproblemData:
     """Quadratic model of the cubic one-variable program at primal point u."""
@@ -269,6 +271,33 @@ class TestEngineAgreement:
             d, lam = points[0]
             assert kkt_residual(data, d, lam) <= subproblem._TOL * data.scale, trial
             assert np.linalg.norm(d - d_star) <= 1e-8 * (1.0 + np.linalg.norm(d_star)), trial
+
+
+def test_one_row_newton_matches_the_serial_reference(rng):
+    # the engine's starts run as one-row stacks; indefinite and definite
+    # Hessians over zero x orthant x second-order products
+    cone = cones.product(cones.zero(1), cones.orthant(2), cones.second_order(3))
+    for trial in range(20):
+        n = int(rng.integers(1, 5))
+        B = rng.normal(size=(n, n))
+        H = B @ B.T if trial % 2 else B + B.T
+        data = SubproblemData(H, rng.normal(size=n), rng.normal(size=(6, n)),
+                              rng.normal(size=6), cone)
+
+        def residual(d, lam):
+            y = data.c + data.A @ d
+            return np.concatenate(
+                [data.g + data.H @ d + data.A.T @ lam, y - cones.project(data.cone, y + lam)])
+
+        def linearize(d, lam):
+            return data.H, data.A, data.c + data.A @ d
+
+        tol = 1e-13 * (1.0 + float(np.linalg.norm(data.g)))
+        for _ in range(5):
+            d0, lam0 = rng.normal(size=n), rng.normal(size=6)
+            d, lam, res = subproblem._newton_from(data, d0, lam0, 100)
+            ds, ls, rs = serial_newton.damped_newton(cone, residual, linearize, d0, lam0, tol, 100)
+            assert np.array_equal(d, ds) and np.array_equal(lam, ls) and res.hex() == rs.hex()
 
 
 class TestSplittingStops:
