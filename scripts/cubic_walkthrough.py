@@ -6,12 +6,21 @@ no KKT points at all, so the local iteration cannot even start there.
 Near the strict minimizer x = 2 the same iteration converges at a
 second-order rate.  This script reproduces both regimes and prints the
 stability report of each stationary point.
+
+    python scripts/cubic_walkthrough.py
+
+The package is imported from the ``src/`` directory next to this script.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from conesqp import diagnostics, registry, sqp
-from conesqp.problem import KKTPair
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from conesqp import diagnostics, registry, sqp  # noqa: E402
+from conesqp.problem import KKTPair  # noqa: E402
 
 
 def banner(text):

@@ -4,14 +4,22 @@ For each cone kind, draws random (point, normal, critical direction)
 triples and compares the closed-form curvature value with the
 difference-quotient estimate.  Polyhedral kinds must agree exactly; the
 second-order cone's curvature term is the interesting case.
+
+    python scripts/curvature_oracle_sweep.py
+
+The package is imported from the ``src/`` directory next to this script.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from conesqp import cones
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from conesqp import cones  # noqa: E402
 
 
 def sweep(name, cone, n, seed):

@@ -8,14 +8,20 @@ blow-up predicted by its closed-form perturbed solutions.  Each line ends
 with the wall time of that point's probe.
 
     python scripts/probe_profiles.py
+
+The package is imported from the ``src/`` directory next to this script.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from conesqp import diagnostics, registry
-from conesqp.problem import KKTPair
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from conesqp import diagnostics, registry  # noqa: E402
+from conesqp.problem import KKTPair  # noqa: E402
 
 CASES = [
     ("ex55", KKTPair([0.0], [0.0])),

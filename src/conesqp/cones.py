@@ -49,7 +49,7 @@ class ConeBlock:
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """A product of cone blocks, in block order."""
+    """A product of cone blocks, in block order; with no block, ``{0}`` in ``R^0``."""
 
     blocks: tuple[ConeBlock, ...]
     # derived from ``blocks`` once; not part of equality, hash or repr
@@ -58,8 +58,6 @@ class ConeSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        if not self.blocks:
-            raise ValueError("cone needs at least one block")
         out, offset = [], 0
         for block in self.blocks:
             out.append((block, slice(offset, offset + block.dim)))
@@ -194,7 +192,7 @@ def projection_jacobian(cone: ConeSpec, z: np.ndarray) -> np.ndarray:
     """An element of the generalized Jacobian of the cone projection at z.
 
     A stack ``(B, m)`` gives ``(B, m, m)``, each row bit for bit as alone."""
-    zs = z.reshape(-1, cone.total_dim)
+    zs = np.atleast_2d(z)
     P = np.zeros((len(zs), cone.total_dim, cone.total_dim))
     for block, sl in cone.slices():
         zb = zs[:, sl]

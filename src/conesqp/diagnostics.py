@@ -536,89 +536,75 @@ def _multiplier_calmness(p: ProblemSpec, K: CriticalCone) -> CalmnessResult:
 
 
 def _perturbed_kkt(p: ProblemSpec, x, lam, v, w):
-    """``(r1, r2, y, jac_f)`` of the tilt/shift perturbed KKT system at (x, lam):
-    stationarity ``r1``, complementarity ``r2``, the shifted value
-    ``y = f(x) + w`` and the constraint Jacobian.
+    """``(r1, y)`` of the tilt/shift perturbed KKT system at (x, lam): the
+    stationarity residual ``r1`` and the shifted value ``y = f(x) + w``, whose
+    complementarity residual is ``y - proj(y + lam)``.
 
     Stacks ``x`` ``(B, n)`` and ``lam`` ``(B, m)``, with one perturbation or a
     stack of them, give stacked rows, bit for bit those of each point alone."""
     _, grad = expr.eval1(p.objective, x)
     f_val, jac_f = problem_mod.constraint_values(p, x)
-    y = f_val + w
     jt_lam = (jac_f.swapaxes(-1, -2) @ lam[..., None])[..., 0]
-    return grad - v + jt_lam, y - cones.project(p.cone, y + lam), y, jac_f
+    return grad - v + jt_lam, f_val + w
 
 
 def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
-    r1, r2, y, _ = _perturbed_kkt(p, x, lam, v, w)
+    r1, y = _perturbed_kkt(p, x, lam, v, w)
+    r2 = y - cones.project(p.cone, y + lam)
     return float(np.linalg.norm(r1)) + float(np.linalg.norm(r2)) + cones.distance(p.cone, y)
 
 
-def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, max_iters=60):
+def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, active=None, max_iters=60):
     """Damped semismooth Newton, in lockstep, on tilt/shift perturbed KKT
     residuals: the start ``(x0[b], lam0[b])`` solves the system perturbed by
-    ``(v[b], w[b])``."""
+    ``(v[b], w[b])`` on ``p.cone`` to ``1e-13``; a singular row takes ``lstsq``.
+    With a list ``active`` it solves the pattern system instead: the active
+    rows are equalities (the zero cone), ``lam0`` holds their multipliers and
+    the others are 0, the tolerance is ``1e-12`` and a singular row stops
+    where it stands.  Returns ``(x, lam, ||F||)`` with every multiplier."""
+    if active is None:
+        cone, active_rows, tol = p.cone, slice(None), 1e-13
+    else:
+        cone = cones.zero(len(active)) if active else cones.ConeSpec(())
+        active_rows, tol = active, 1e-12
+
+    def full(lam):  # every multiplier, 0 off the rows solved for
+        out = np.zeros((len(lam), p.m))
+        out[:, active_rows] = lam
+        return out
 
     def residual(x, lam, rows):
-        return np.concatenate(_perturbed_kkt(p, x, lam, v[rows], w[rows])[:2], axis=1)
+        r1, y = _perturbed_kkt(p, x, full(lam), v[rows], w[rows])
+        y = y[:, active_rows]
+        return np.concatenate([r1, y - cones.project(cone, y + lam)], axis=1)
 
     def linearize(x, lam, rows):
-        data = problem_mod.lagrangian_data(p, KKTPair(x, lam))
-        return data.hess_xx, data.jac_f, data.f_val + w[rows]
+        data = problem_mod.lagrangian_data(p, KKTPair(x, full(lam)))
+        return data.hess_xx, data.jac_f[:, active_rows], (data.f_val + w[rows])[:, active_rows]
 
-    return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters)
+    x, lam, res = damped_newton(cone, residual, linearize, x0, lam0, tol, max_iters,
+                                lstsq=active is None)
+    return x, full(lam), res
 
 
-def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
-    """Active-pattern Newton solves of the perturbed KKT system (polyhedral)."""
-    if not cones.patterns_within_budget(p.cone):
-        return []
-    out = []
-    for active, orth_active, inactive in cones.active_patterns(p.cone):
-        sol = _pattern_newton(p, z, v, w, active)
-        if sol is None:
-            continue
-        x, lam = sol
-        f_val, _ = problem_mod.constraint_values(p, x)
-        slack = 1e-9 * (1.0 + float(np.linalg.norm(lam)))
-        if not cones.pattern_signs_ok(lam, f_val + w, orth_active, inactive, slack):
-            continue
-        if _perturbed_residual(p, x, lam, v, w) <= 1e-8:
-            out.append(KKTPair(x, lam))
+def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w) -> list[list[KKTPair]]:
+    """Active-pattern Newton solves of the perturbed KKT system (polyhedral),
+    for each row of ``(v, w)``; all rows of a pattern run in one lockstep
+    ``damped_newton`` call, from z."""
+    out: list[list[KKTPair]] = [[] for _ in v]
+    patterns = cones.active_patterns(p.cone) if cones.patterns_within_budget(p.cone) else ()
+    x0 = np.repeat(z.x[None], len(v), axis=0)
+    for active, orth_active, inactive in patterns:
+        lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
+        x, lam, res = _newton_perturbed(p, x0, lam0, v, w, active)
+        for i in np.flatnonzero(res <= 1e-12):
+            f_val, _ = problem_mod.constraint_values(p, x[i])
+            slack = 1e-9 * (1.0 + float(np.linalg.norm(lam[i])))
+            if not cones.pattern_signs_ok(lam[i], f_val + w[i], orth_active, inactive, slack):
+                continue
+            if _perturbed_residual(p, x[i], lam[i], v[i], w[i]) <= 1e-8:
+                out[i].append(KKTPair(x[i], lam[i]))
     return out
-
-
-def _pattern_newton(p: ProblemSpec, z: KKTPair, v, w, active, max_iters=60):
-    x = z.x.copy()
-    lam_a = z.lam[active].copy()
-    na = len(active)
-    for _ in range(max_iters):
-        lam_full = np.zeros(p.m)
-        lam_full[active] = lam_a
-        data = problem_mod.lagrangian_data(p, KKTPair(x, lam_full))
-        F = np.concatenate(
-            [data.grad_obj - v + data.jac_f.T @ lam_full, data.f_val[active] + w[active]]
-        )
-        if float(np.linalg.norm(F)) <= 1e-12:
-            break
-        Jm = np.zeros((p.n + na, p.n + na))
-        Jm[: p.n, : p.n] = data.hess_xx
-        if na:
-            Jm[: p.n, p.n :] = data.jac_f[active].T
-            Jm[p.n :, : p.n] = data.jac_f[active]
-        try:
-            step = np.linalg.solve(Jm, -F)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) > 1e3:
-            return None
-        x = x + step[: p.n]
-        lam_a = lam_a + step[p.n :]
-    else:
-        return None
-    lam_full = np.zeros(p.m)
-    lam_full[active] = lam_a
-    return x, lam_full
 
 
 def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, seeds) -> list[list[KKTPair]]:
@@ -639,8 +625,7 @@ def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, seeds) -> list[list[KKTPa
     x, lam, res = _newton_perturbed(p, np.array(x0), np.array(lam0),
                                     np.repeat(v, starts, axis=0), np.repeat(w, starts, axis=0))
     out = []
-    for i, (vi, wi) in enumerate(zip(v, w)):
-        sols = _pattern_solutions(p, z, vi, wi) if p.cone.is_polyhedral else []
+    for i, sols in enumerate(_pattern_solutions(p, z, v, w)):
         # res bounds both residual parts, and dist(y) <= ||r2|| because
         # proj(y + lam) lies in the cone: _perturbed_residual is at most 3 res
         sols += [KKTPair(x[b], lam[b])

@@ -208,21 +208,25 @@ def _row_norms(F: np.ndarray) -> np.ndarray:
     return np.sqrt(F[..., None, :] @ F[..., :, None])[..., 0, 0]
 
 
-def _newton_steps(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """The rows of ``J step = -F``: one batched solve, or row by row for one
-    row or a stack with a singular ``J``, where a singular row takes ``lstsq``."""
+def _newton_steps(J: np.ndarray, F: np.ndarray, lstsq: bool):
+    """The rows of ``J step = -F`` and a list of the rows that have none: one
+    batched solve, or row by row for one row or a stack with a singular
+    ``J``, where a singular row takes ``lstsq`` or, without it, is listed."""
     if len(F) > 1:
         try:
-            return np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+            return np.linalg.solve(J, -F[:, :, None])[:, :, 0], []
         except np.linalg.LinAlgError:
             pass
-    steps = np.empty_like(F)
+    steps, singular = np.empty_like(F), []
     for b in range(len(F)):
         try:
             steps[b] = np.linalg.solve(J[b], -F[b])
         except np.linalg.LinAlgError:
-            steps[b] = np.linalg.lstsq(J[b], -F[b], rcond=None)[0]
-    return steps
+            if lstsq:
+                steps[b] = np.linalg.lstsq(J[b], -F[b], rcond=None)[0]
+            else:
+                singular.append(b)
+    return steps, singular
 
 
 def _halved_steps(residual, x, lam, step, nrm, rows):
@@ -260,7 +264,8 @@ def _halved_steps(residual, x, lam, step, nrm, rows):
     return first, F.reshape(R, K - 1, -1)[np.arange(R), first - 1]
 
 
-def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max_iters: int):
+def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max_iters: int,
+                  *, lstsq: bool):
     """Damped semismooth Newton on a projection residual of a cone-constrained
     KKT system, in lockstep over a stack of starts ``x0`` ``(B, n)``, ``lam0``
     ``(B, m)``.
@@ -270,7 +275,9 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
     the Lagrangian Hessians, the constraint Jacobians (either may be one
     matrix for every row) and the constraint values; ``rows`` names the start
     of each point.  Each start halves its step (at most 29 times) until the
-    Armijo decrease holds, and stops where it stands when it never does.  An
+    Armijo decrease holds, and stops where it stands when it never does.  A
+    start whose Jacobian is singular takes the ``lstsq`` step, or, without
+    ``lstsq``, stops where it stands before any residual is evaluated.  An
     iteration makes one stacked ``linearize``, projection Jacobian, solve and
     full-step residual for the live starts, plus one ``_halved_steps`` call
     for those whose full step fails; every row is bit for bit the run of its
@@ -297,7 +304,13 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
         J[:, :n, n:] = A.swapaxes(-1, -2)
         J[:, n:, :n] = (eye - P) @ A
         J[:, n:, n:] = -P
-        step = _newton_steps(J, F)
+        step, singular = _newton_steps(J, F, lstsq)
+        if singular:  # these rows leave where they stand
+            X[rows], LAM[rows], RES[rows] = x, lam, nrm
+            kept = np.delete(np.arange(len(rows)), singular)
+            rows, x, lam, F, nrm, step = (a[kept] for a in (rows, x, lam, F, nrm, step))
+            if not rows.size:
+                return X, LAM, RES
         x_new, lam_new = x + step[:, :n], lam + step[:, n:]
         F_new = residual(x_new, lam_new, rows)
         nrm_new = _row_norms(F_new)
@@ -333,7 +346,8 @@ def _newton_from(data: SubproblemData, d0, lam0, max_iters: int):
         return data.H, data.A, data.c + (data.A @ d[:, :, None])[:, :, 0]
 
     tol = 1e-13 * (1.0 + float(np.linalg.norm(data.g)))
-    d, lam, res = damped_newton(data.cone, residual, linearize, d0[None], lam0[None], tol, max_iters)
+    d, lam, res = damped_newton(data.cone, residual, linearize, d0[None], lam0[None], tol, max_iters,
+                                lstsq=True)
     return d[0], lam[0], float(res[0])
 
 

@@ -4,6 +4,10 @@ for tests of the lockstep ``subproblem.damped_newton``.
 ``damped_newton`` here is the kernel as it ran before it took stacks: one
 point, the Armijo step lengths tried one after another, and the projection
 Jacobian built block by block.  A lockstep row must give exactly its bits.
+
+``pattern_solutions`` is the probe's active-pattern solve as it ran before
+it went through the kernel: one direction at a time, by the undamped
+``pattern_newton``.
 """
 
 import numpy as np
@@ -78,10 +82,66 @@ def newton_perturbed(p, x0, lam0, v, w, max_iters=60):
     """One start of the probe's perturbed KKT solve, serially."""
 
     def residual(x, lam):
-        return np.concatenate(diagnostics._perturbed_kkt(p, x, lam, v, w)[:2])
+        r1, y = diagnostics._perturbed_kkt(p, x, lam, v, w)
+        return np.concatenate([r1, y - cones.project(p.cone, y + lam)])
 
     def linearize(x, lam):
         data = problem.lagrangian_data(p, KKTPair(x, lam))
         return data.hess_xx, data.jac_f, data.f_val + w
 
     return damped_newton(p.cone, residual, linearize, x0, lam0, 1e-13, max_iters)
+
+
+def pattern_solutions(p, z, v, w):
+    """The probe's active-pattern solutions for one perturbation ``(v, w)``."""
+    if not cones.patterns_within_budget(p.cone):
+        return []
+    out = []
+    for active, orth_active, inactive in cones.active_patterns(p.cone):
+        sol = pattern_newton(p, z, v, w, active)
+        if sol is None:
+            continue
+        x, lam = sol
+        f_val, _ = problem.constraint_values(p, x)
+        slack = 1e-9 * (1.0 + float(np.linalg.norm(lam)))
+        if not cones.pattern_signs_ok(lam, f_val + w, orth_active, inactive, slack):
+            continue
+        if diagnostics._perturbed_residual(p, x, lam, v, w) <= 1e-8:
+            out.append(KKTPair(x, lam))
+    return out
+
+
+def pattern_newton(p, z, v, w, active, max_iters=60):
+    """Undamped Newton from z on the system with the ``active`` rows as
+    equalities; None where the saddle matrix is singular, a step is not
+    finite or longer than 1e3, or the residual is not under 1e-12 in time."""
+    x = z.x.copy()
+    lam_a = z.lam[active].copy()
+    na = len(active)
+    for _ in range(max_iters):
+        lam_full = np.zeros(p.m)
+        lam_full[active] = lam_a
+        data = problem.lagrangian_data(p, KKTPair(x, lam_full))
+        F = np.concatenate(
+            [data.grad_obj - v + data.jac_f.T @ lam_full, data.f_val[active] + w[active]]
+        )
+        if float(np.linalg.norm(F)) <= 1e-12:
+            break
+        Jm = np.zeros((p.n + na, p.n + na))
+        Jm[: p.n, : p.n] = data.hess_xx
+        if na:
+            Jm[: p.n, p.n :] = data.jac_f[active].T
+            Jm[p.n :, : p.n] = data.jac_f[active]
+        try:
+            step = np.linalg.solve(Jm, -F)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) > 1e3:
+            return None
+        x = x + step[: p.n]
+        lam_a = lam_a + step[p.n :]
+    else:
+        return None
+    lam_full = np.zeros(p.m)
+    lam_full[active] = lam_a
+    return x, lam_full

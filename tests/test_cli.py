@@ -202,6 +202,17 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert "not a KKT solution" in err and "Traceback" not in err
 
+    def test_cone_without_blocks_exits_2_with_only_the_error(self, tmp_path, capsys):
+        # the cone with no block exists for the probe's pattern solves only
+        doc = {"name": "bare", "n": 1, "objective": "x1^2", "constraints": [{"expr": "x1"}],
+               "cone": {"blocks": []}}
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc))
+        assert run(["diagnose", str(path), "--x", "0", "--lam", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: field 'cone.blocks' must be a nonempty list"]
+
     def test_nan_residual_is_not_a_kkt_solution(self, capsys):
         # x^3/6 has a NaN gradient at 1e200, so the gate's residual is NaN
         with np.errstate(all="ignore"):

@@ -89,6 +89,10 @@ def test_stacked_projection_and_its_jacobian_are_the_single_point_ones(rng):
         assert np.array_equal(cones.projection_jacobian(cone, z), Pz)
 
 
+def test_projection_jacobian_of_a_stack_on_the_cone_without_blocks():
+    assert cones.projection_jacobian(cones.ConeSpec(()), np.zeros((4, 0))).shape == (4, 0, 0)
+
+
 @given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
        st.lists(st.floats(-10, 10), min_size=3, max_size=3))
 def test_projection_nonexpansive_soc(a, b):

@@ -298,6 +298,22 @@ def _mixed_problem(rng):
     return ProblemSpec("mixed", n, expr.ExprAST(random_ast(rng, n), n), constraints, cone)
 
 
+def _zero_orthant_problem(rng):
+    """A random two-variable quadratic program over zero(1) x orthant(2) with
+    the KKT point ``x = 0``: the first orthant row is active with a negative
+    multiplier, the second is inactive."""
+    A, q = rng.normal(size=(3, 2)).tolist(), (0.3 * rng.normal(size=3)).tolist()
+    lam = np.array([rng.normal(), -abs(rng.normal()), 0.0])
+    g, h = (-np.array(A).T @ lam).tolist(), rng.normal(size=3).tolist()
+    objective = f"{h[0]}*x1^2 + {h[1]}*x1*x2 + {h[2]}*x2^2 + {g[0]}*x1 + {g[1]}*x2"
+    constraints = [f"{q[i]}*x{i % 2 + 1}^2 + {A[i][0]}*x1 + {A[i][1]}*x2 + {b}"
+                   for i, b in enumerate((0.0, 0.0, 1.0))]
+    p = ProblemSpec("zero_orthant", 2, expr.parse(objective, 2),
+                    [expr.parse(c, 2) for c in constraints],
+                    cones.product(cones.zero(1), cones.orthant(2)))
+    return p, KKTPair(np.zeros(2), lam)
+
+
 _POLE = "x1^4/4 - x1^2 + 2*x1 + 0*(1/(x1 - 0.875))"  # F = x^3 - 2x + 2, a pole at 0.875
 
 
@@ -423,21 +439,65 @@ class TestLockstepNewton:
 
     def test_probe_linearizes_once_per_radius_and_iteration(self, reg, monkeypatch):
         # critical_toy with lam = 0: 8,611 single linearizations when every
-        # start ran alone; one stacked call per radius and Newton iteration now
+        # start ran alone; one stacked call per radius and Newton iteration
+        # now, for the starts and for each active pattern (here the one row)
         p, z = reg["critical_toy"].problem, KKTPair([0.0], [0.0])
-        stacks = []
+        stacks = {}
 
-        def counted(cone, residual, linearize, *args):
+        def counted(cone, residual, linearize, *args, lstsq):
+            # only the starts take lstsq; a pattern runs on its own zero cone
+            sizes = stacks.setdefault("starts" if lstsq else cone, [])
+
             def wrapped(x, lam, rows):
-                stacks.append(len(x))
+                sizes.append(len(x))
                 return linearize(x, lam, rows)
 
-            return subproblem.damped_newton(cone, residual, wrapped, *args)
+            return subproblem.damped_newton(cone, residual, wrapped, *args, lstsq=lstsq)
 
         monkeypatch.setattr(diagnostics, "damped_newton", counted)
         probe_isolated_calmness(p, z)
-        assert len(stacks) <= len(diagnostics.PROBE_RADII) * 60
-        assert stacks[0] == 5 * (2 * (p.n + p.m) + DiagnosticsConfig().probe_samples)
+        directions = 2 * (p.n + p.m) + DiagnosticsConfig().probe_samples
+        assert stacks.keys() == {"starts", cones.zero(1)}
+        for sizes in stacks.values():
+            assert len(sizes) <= len(diagnostics.PROBE_RADII) * 60
+        assert stacks["starts"][0] == 5 * directions
+        assert stacks[cones.zero(1)][0] == directions
+
+    @staticmethod
+    def assert_patterns_match_reference(p, z, ball=math.inf):
+        """At every probe radius, the pattern solutions within ``ball`` of z of
+        each probe direction against the serial reference; returns how many
+        there are."""
+        rng = np.random.default_rng(DiagnosticsConfig().seed + 3)
+        dim = p.n + p.m
+        dirs = [e * s for e in np.eye(dim) for s in (1.0, -1.0)]
+        for _ in range(DiagnosticsConfig().probe_samples):
+            d = rng.normal(size=dim)
+            dirs.append(d / float(np.linalg.norm(d)))
+        dirs = np.array(dirs)
+        found = 0
+        for radius in diagnostics.PROBE_RADII:
+            v, w = radius * dirs[:, : p.n], radius * dirs[:, p.n :]
+            for i, sols in enumerate(diagnostics._pattern_solutions(p, z, v, w)):
+                ref = serial_newton.pattern_solutions(p, z, v[i], w[i])
+                sols, ref = ([s for s in ss if s.distance_to(z) <= ball] for ss in (sols, ref))
+                assert len(sols) == len(ref), (p.name, radius, i)
+                assert all(s.distance_to(t) <= 1e-12 for s, t in zip(sols, ref)), (p.name, radius, i)
+                found += len(sols)
+        return found
+
+    def test_pattern_solutions_match_the_serial_reference_at_registry_points(self, reg):
+        found = sum(self.assert_patterns_match_reference(entry.problem, kp.point)
+                    for entry in reg.values() for kp in entry.known_points)
+        assert found > 0
+
+    def test_pattern_solutions_match_the_serial_reference_on_zero_orthant_problems(self, rng):
+        # Within the probe's ball only: far from z, damped and undamped steps
+        # may reach different solutions.  The fifth problem has one at
+        # distance 2.5 that only the damped steps reach, at every radius.
+        for _ in range(5):
+            p, z = _zero_orthant_problem(rng)
+            assert self.assert_patterns_match_reference(p, z, diagnostics._PROBE_BALL) > 0
 
 
 class TestClassify:

@@ -36,6 +36,7 @@ def test_schema_error_paths(tmp_path):
         ({**base, "constraints": []}, "constraints"),
         ({**base, "cone": {"blocks": [{"kind": "cube", "dim": 1}]}}, "kind"),
         ({**base, "cone": {"blocks": [{"kind": "orthant", "dim": 0}]}}, "dim"),
+        ({**base, "cone": {"blocks": []}}, "'cone.blocks' must be a nonempty list"),
         ({**base, "constraints": [{"expr": "x1"}, {"expr": "x2"}]}, "cone dimension"),
         ({k: v for k, v in base.items() if k != "objective"}, "'objective'"),
     ]

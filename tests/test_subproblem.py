@@ -300,6 +300,25 @@ def test_one_row_newton_matches_the_serial_reference(rng):
             assert np.array_equal(d, ds) and np.array_equal(lam, ls) and res.hex() == rs.hex()
 
 
+def test_singular_row_without_lstsq_stops_before_any_residual():
+    # F(x) = x^2 - 1 on the cone with no rows: the Jacobian 2x is singular at 0
+    evaluated = []
+
+    def residual(x, lam, rows):
+        evaluated.append(rows.copy())
+        return x**2 - 1.0
+
+    def linearize(x, lam, rows):
+        return 2.0 * x[:, :, None], np.zeros((len(x), 0, 1)), np.zeros((len(x), 0))
+
+    x, lam, res = subproblem.damped_newton(cones.ConeSpec(()), residual, linearize,
+                                           np.array([[0.0], [2.0]]), np.zeros((2, 0)),
+                                           1e-13, 60, lstsq=False)
+    assert x[0, 0] == 0.0 and res[0] == 1.0  # where it stood
+    assert abs(x[1, 0] - 1.0) <= 1e-13 and res[1] <= 1e-13 and lam.shape == (2, 0)
+    assert all(0 not in rows for rows in evaluated[1:])
+
+
 class TestSplittingStops:
     """The polish runs at the loose ADMM stop; when its point fails the KKT
     tolerance, ADMM goes on to the tight stop and polishes once more."""
