@@ -47,6 +47,7 @@ PROBE_INDETERMINATE = "indeterminate"
 
 _SSOC_THRESHOLD = 1e-8
 _FACE_BUDGET = 14  # at most 2**_FACE_BUDGET face patterns
+_SCREEN = 1e-6  # the noncriticality screen's margin, far above the 1e-9 tolerances
 _TOL = 1e-8  # KKT gate
 _SAMPLE_COUNT = 100  # safety-net samples for non-polyhedral searches
 PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -165,43 +166,62 @@ def check_ssoc(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     otherwise.
     """
     cfg = cfg or DiagnosticsConfig()
-    return _ssoc(p, *_gate(p, z), cfg)
+    data, K = _gate(p, z)
+    return _ssoc(p, K, _curvature(p, data, K), cfg)
 
 
-def _ssoc(
-    p: ProblemSpec, data: LagrangianData, K: CriticalCone, cfg: DiagnosticsConfig
-) -> SSOCResult:
+def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone, share: bool = False):
+    """``(J, Hc, Q, E J, G J, faces)``: the constraint Jacobian, the cone's
+    curvature matrix, the symmetric matrix ``Q`` of the stability quadratic,
+    the critical cone's rows pulled back to directions, and the walk over
+    its faces when it is polyhedral and within the face budget (else None).
+    The walk is lazy, or a list with ``share`` for SSOC and noncriticality."""
     J = data.jac_f
-    Q = data.hess_xx + J.T @ K.curvature_matrix() @ J
+    Hc = K.curvature_matrix()
+    Q = data.hess_xx + J.T @ Hc @ J
     Q = 0.5 * (Q + Q.T)
-    E = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
-    G = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
-    if K.is_polyhedral and G.shape[0] <= _FACE_BUDGET:
-        return _ssoc_exact(Q, E, G, p.n)
+    EJ = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
+    GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
+    faces = None
+    if K.is_polyhedral and GJ.shape[0] <= _FACE_BUDGET:
+        faces = list(_faces(Q, EJ, GJ, p.n)) if share else _faces(Q, EJ, GJ, p.n)
+    return J, Hc, Q, EJ, GJ, faces
+
+
+def _faces(Q, EJ, GJ, n):
+    """``(S, B_S, vals, vecs, margin)`` per face S, in ``(r, combinations)``
+    order: ``B_S`` is an orthonormal basis of ``{w : E J w = 0, G_S J w = 0}``
+    with the rank margin of ``polyhedra.null_basis``, and ``vals, vecs`` the
+    eigenpairs of ``R_S = B_S' Q B_S``."""
+    q = GJ.shape[0]
+    for r in range(q + 1):
+        for S in combinations(range(q), r):
+            rows = np.vstack([EJ, GJ[list(S)]]) if (EJ.size or S) else np.zeros((0, n))
+            B, margin = polyhedra.null_basis(rows, n, margin=True)
+            R = B.T @ Q @ B
+            yield (S, B, *np.linalg.eigh(0.5 * (R + R.T)), margin)
+
+
+def _ssoc(p: ProblemSpec, K: CriticalCone, curv, cfg: DiagnosticsConfig) -> SSOCResult:
+    J, _, Q, E, G, faces = curv
+    if faces is not None:
+        return _ssoc_exact(G, faces)
     return _ssoc_sampled(Q, E, G, K, J, p.n, cfg)
 
 
-def _ssoc_exact(Q, E, G, n) -> SSOCResult:
+def _ssoc_exact(G, faces) -> SSOCResult:
     best = math.inf
     witness = None
-    q = G.shape[0]
-    for r in range(q + 1):
-        for S in combinations(range(q), r):
-            rows = np.vstack([E, G[list(S)]]) if (E.size or S) else np.zeros((0, n))
-            B = polyhedra.null_basis(rows, n)
-            if B.shape[1] == 0:
-                continue
-            R = B.T @ Q @ B
-            vals, vecs = np.linalg.eigh(0.5 * (R + R.T))
-            for theta, v in zip(vals, vecs.T):
-                w = B @ v
-                for s in (1.0, -1.0):
-                    cand = s * w
-                    if G.shape[0] == 0 or np.all(G @ cand <= 1e-9):
-                        if theta < best:
-                            best = float(theta)
-                            witness = cand
-                        break
+    for _, B, vals, vecs, _ in faces:
+        for theta, v in zip(vals, vecs.T):
+            w = B @ v
+            for s in (1.0, -1.0):
+                cand = s * w
+                if G.shape[0] == 0 or np.all(G @ cand <= 1e-9):
+                    if theta < best:
+                        best = float(theta)
+                        witness = cand
+                    break
     return SSOCResult(best, witness, conclusive=True)
 
 
@@ -243,20 +263,17 @@ def check_noncriticality(
     sampled search and can only certify criticality, not its absence.
     """
     cfg = cfg or DiagnosticsConfig()
-    return _noncriticality(p, *_gate(p, z), cfg)
+    data, K = _gate(p, z)
+    return _noncriticality(p, data, K, _curvature(p, data, K), cfg)
 
 
 def _noncriticality(
-    p: ProblemSpec, data: LagrangianData, K: CriticalCone, cfg: DiagnosticsConfig
+    p: ProblemSpec, data: LagrangianData, K: CriticalCone, curv, cfg: DiagnosticsConfig
 ) -> NoncriticalityResult:
-    J = data.jac_f
-    Hc = K.curvature_matrix()
-    Q = data.hess_xx + J.T @ Hc @ J
-    Q = 0.5 * (Q + Q.T)
-    E, G = K.eq, K.ineq
-    if K.is_polyhedral and G.shape[0] <= _FACE_BUDGET:
+    J, Hc, Q, _, GJ, faces = curv
+    if faces is not None:
         try:
-            witness = _noncrit_face_search(p, data, K, Q, J, Hc)
+            witness = _noncrit_face_search(p, data, K, Q, J, Hc, faces)
         except BudgetExceeded as exc:
             return NoncriticalityResult(False, None, conclusive=False, reason=str(exc))
         if witness is not None:
@@ -266,65 +283,70 @@ def _noncriticality(
     if witness is not None:
         return NoncriticalityResult(False, witness, conclusive=True)
     if K.is_polyhedral:
-        reason = (f"sampled search only ({G.shape[0]} inequality rows exceed the face budget "
+        reason = (f"sampled search only ({GJ.shape[0]} inequality rows exceed the face budget "
                   f"of {_FACE_BUDGET})")
     else:
         reason = "sampled search only (apex second-order block)"
     return NoncriticalityResult(True, None, conclusive=False, reason=reason)
 
 
-def _noncrit_face_search(p, data, K: CriticalCone, Q, J, Hc):
+def _noncrit_face_search(p, data, K: CriticalCone, Q, J, Hc, faces):
     """Exhaustive pattern search for a nonzero critical direction.
 
-    Variables (w, a, b): ``Q w + J^T (E^T a + G_P^T b) = 0`` with the
+    Variables (w, a, b): ``Q w + J^T (E^T a + G_S^T b) = 0`` with the
     pattern rows of G tight on ``J w``, the rest slack, and ``b >= 0``.
     Solutions form a cone, so a nonzero direction exists iff some
-    coordinate of ``w`` admits a nonzero value.
+    coordinate of ``w`` admits a nonzero value.  Projected by ``B_S'``,
+    the first block row reads ``R_S t = 0`` for ``w = B_S t``, so the screen
+    skips a face whose rank margin and every ``|eig R_S|`` clear ``_SCREEN``:
+    it has only w = 0.  A face near either edge is searched as above.
     """
     n, m = p.n, p.m
     E, G = K.eq, K.ineq
     q = G.shape[0]
-    for r in range(q + 1):
-        for S in combinations(range(q), r):
-            S = list(S)
-            notS = [i for i in range(q) if i not in S]
-            p_eq = E.shape[0]
-            nb = len(S)
-            nvars = n + p_eq + nb
-            gen = np.zeros((m, p_eq + nb))
-            if p_eq:
-                gen[:, :p_eq] = E.T
-            if nb:
-                gen[:, p_eq:] = G[S].T
-            a_eq = np.zeros((n + p_eq + nb, nvars))
-            a_eq[:n, :n] = Q
-            a_eq[:n, n:] = J.T @ gen
-            if p_eq:
-                a_eq[n : n + p_eq, :n] = E @ J
-            if nb:
-                a_eq[n + p_eq :, :n] = G[S] @ J
-            b_eq = np.zeros(n + p_eq + nb)
-            rows_ub = []
-            for i in notS:
-                row = np.zeros(nvars)
-                row[:n] = G[i] @ J
-                rows_ub.append(row)
-            for k in range(nb):
-                row = np.zeros(nvars)
-                row[n + p_eq + k] = -1.0
-                rows_ub.append(row)
-            poly = Polyhedron.build(
-                nvars,
-                a_ub=np.array(rows_ub).reshape(-1, nvars),
-                b_ub=np.zeros(len(rows_ub)),
-                a_eq=a_eq,
-                b_eq=b_eq,
-            )
-            for sol in polyhedra.nonzero_points(poly, range(n)):
-                w = sol[:n]
-                u = Hc @ (J @ w) + gen @ sol[n:]
-                if _verify_critical_witness(data, K, J, w, u):
-                    return w, u
+    screen = _SCREEN * (1.0 + float(np.max(np.abs(Q))))
+    for S, _, vals, _, margin in faces:
+        if margin > _SCREEN and np.all(np.abs(vals) > screen):
+            continue
+        S = list(S)
+        notS = [i for i in range(q) if i not in S]
+        p_eq = E.shape[0]
+        nb = len(S)
+        nvars = n + p_eq + nb
+        gen = np.zeros((m, p_eq + nb))
+        if p_eq:
+            gen[:, :p_eq] = E.T
+        if nb:
+            gen[:, p_eq:] = G[S].T
+        a_eq = np.zeros((n + p_eq + nb, nvars))
+        a_eq[:n, :n] = Q
+        a_eq[:n, n:] = J.T @ gen
+        if p_eq:
+            a_eq[n : n + p_eq, :n] = E @ J
+        if nb:
+            a_eq[n + p_eq :, :n] = G[S] @ J
+        b_eq = np.zeros(n + p_eq + nb)
+        rows_ub = []
+        for i in notS:
+            row = np.zeros(nvars)
+            row[:n] = G[i] @ J
+            rows_ub.append(row)
+        for k in range(nb):
+            row = np.zeros(nvars)
+            row[n + p_eq + k] = -1.0
+            rows_ub.append(row)
+        poly = Polyhedron.build(
+            nvars,
+            a_ub=np.array(rows_ub).reshape(-1, nvars),
+            b_ub=np.zeros(len(rows_ub)),
+            a_eq=a_eq,
+            b_eq=b_eq,
+        )
+        for sol in polyhedra.nonzero_points(poly, range(n)):
+            w = sol[:n]
+            u = Hc @ (J @ w) + gen @ sol[n:]
+            if _verify_critical_witness(data, K, J, w, u):
+                return w, u
     return None
 
 
@@ -500,10 +522,10 @@ def _srcq_primal(p: ProblemSpec, K: CriticalCone, J) -> bool | None:
     a_ub = np.zeros((G.shape[0], nvars))
     if G.shape[0]:
         a_ub[:, n:] = G
-    for target in (*np.eye(m), -np.ones(m)):
-        b_eq = np.zeros(m + E.shape[0])
-        b_eq[:m] = target
-        poly = Polyhedron.build(nvars, a_ub=a_ub, b_ub=np.zeros(G.shape[0]), a_eq=a_eq, b_eq=b_eq)
+    targets = np.zeros((m + E.shape[0], m + 1))  # columns e_1, ..., e_m, -(e_1 + ... + e_m)
+    targets[:m, :m] = np.eye(m)
+    targets[:m, m] = -1.0
+    for poly in Polyhedron.build_each(nvars, a_ub, np.zeros(G.shape[0]), a_eq, targets):
         try:
             if not polyhedra.is_feasible(poly):
                 return False
@@ -708,9 +730,10 @@ def classify_stationary_point(
     """
     cfg = cfg or DiagnosticsConfig()
     data, K = _gate(p, z)
-    ssoc = _ssoc(p, data, K, cfg)
+    curv = _curvature(p, data, K, share=True)
+    ssoc = _ssoc(p, K, curv, cfg)
     srcq = _srcq(p, data, K, cfg)
-    noncrit = _noncriticality(p, data, K, cfg)
+    noncrit = _noncriticality(p, data, K, curv, cfg)
     calm = _multiplier_calmness(p, K)
     msa = problem_mod._multipliers_of(p, data.grad_obj, data.jac_f, K)
     unique: bool | None = msa.unique if msa.status == "exact" else None

@@ -48,6 +48,13 @@ class Polyhedron:
 
     @staticmethod
     def build(dim: int, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = _TOL) -> "Polyhedron":
+        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float).reshape(-1)
+        return Polyhedron.build_each(dim, a_ub, b_ub, a_eq, b_eq[:, None], tol)[0]
+
+    @staticmethod
+    def build_each(dim: int, a_ub, b_ub, a_eq, b_eqs, tol: float = _TOL) -> list["Polyhedron"]:
+        """One polyhedron per column of ``b_eqs``, the equalities reduced once;
+        each is bit for bit the one ``build`` makes from its column."""
         def rows(mat):
             if mat is None:
                 return np.zeros((0, dim))
@@ -63,13 +70,13 @@ class Polyhedron:
         a_ub = rows(a_ub)
         b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, float).reshape(-1)
         a_eq = rows(a_eq)
-        b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float).reshape(-1)
-        if a_ub.shape[0] != b_ub.shape[0] or a_eq.shape[0] != b_eq.shape[0]:
+        if a_ub.shape[0] != b_ub.shape[0] or a_eq.shape[0] != b_eqs.shape[0]:
             raise ValueError("row counts of matrices and right-hand sides disagree")
-        T, q, ok = _reduce_equalities(a_eq, b_eq, tol)
-        if not ok:
-            return Polyhedron(a_ub, b_ub, a_eq, b_eq, tol, None, None, None, None)
-        return Polyhedron(a_ub, b_ub, a_eq, b_eq, tol, T, q, a_ub @ T, b_ub - a_ub @ q)
+        T, qs, ok = _reduce_equalities(a_eq, b_eqs, tol)
+        A = a_ub @ T
+        return [Polyhedron(a_ub, b_ub, a_eq, b_eq, tol, T, q, A, b_ub - a_ub @ q) if good
+                else Polyhedron(a_ub, b_ub, a_eq, b_eq, tol, None, None, None, None)
+                for b_eq, q, good in zip(b_eqs.T, qs, ok)]
 
     @property
     def dim(self) -> int:
@@ -77,13 +84,14 @@ class Polyhedron:
 
 
 def _reduce_equalities(a_eq: np.ndarray, b_eq: np.ndarray, tol: float):
-    """Return (T, q, ok): solutions of a_eq x = b_eq are x = T z + q.
-
-    ``ok`` is False when the system is inconsistent at tolerance ``tol``
-    (scaled by row magnitude).
+    """Return (T, q, ok): for each column j of ``b_eq``, the solutions of
+    ``a_eq x = b_eq[:, j]`` are ``x = T z + q[j]``, unless ``ok[j]`` is False:
+    that system is inconsistent at tolerance ``tol`` (scaled by row
+    magnitude).  Every row operation acts on each column alone, so a column's
+    ``q`` has the bits it gets on its own.
     """
     dim = a_eq.shape[1]
-    A = np.hstack([a_eq.astype(float), b_eq.reshape(-1, 1).astype(float)])
+    A = np.hstack([a_eq.astype(float), b_eq.astype(float)])
     origin = np.arange(A.shape[0])  # the a_eq row each row of A started as
     pivots: list[tuple[int, int]] = []
     row = 0
@@ -100,21 +108,21 @@ def _reduce_equalities(a_eq: np.ndarray, b_eq: np.ndarray, tol: float):
         A[mask] -= np.outer(A[mask, col], A[row])
         pivots.append((row, col))
         row += 1
+    ok = np.ones(A.shape[1] - dim, bool)
     for r in range(row, A.shape[0]):
-        scale = 1.0 + float(np.max(np.abs(a_eq[origin[r]]), initial=0.0)) + abs(A[r, -1])
-        if abs(A[r, -1]) > tol * scale:
-            return None, None, False
+        scale = 1.0 + float(np.max(np.abs(a_eq[origin[r]]), initial=0.0)) + np.abs(A[r, dim:])
+        ok &= ~(np.abs(A[r, dim:]) > tol * scale)
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(dim) if c not in pivot_cols]
     T = np.zeros((dim, len(free_cols)))
-    q = np.zeros(dim)
+    q = np.zeros((len(ok), dim))
     for j, c in enumerate(free_cols):
         T[c, j] = 1.0
     for r, c in pivots:
-        q[c] = A[r, -1]
+        q[:, c] = A[r, dim:]
         for j, fc in enumerate(free_cols):
             T[c, j] = -A[r, fc]
-    return T, q, True
+    return T, q, ok
 
 
 def _clean_rows(A: np.ndarray, b: np.ndarray, tol: float):
@@ -177,6 +185,8 @@ def _elimination_stack(A: np.ndarray, b: np.ndarray, tol: float):
 def is_feasible(poly: Polyhedron) -> bool:
     if poly.T is None:
         return False
+    if np.all(poly.b >= 0.0):
+        return True  # z = 0 meets every row, and every row elimination derives
     try:
         _elimination_stack(poly.A, poly.b, poly.tol)
     except Infeasible:
@@ -280,12 +290,18 @@ def nonzero_points(poly: Polyhedron, coords):
             yield point
 
 
-def null_basis(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Orthonormal basis (columns) of ``{x in R^dim : rows @ x = 0}``."""
+def null_basis(rows: np.ndarray, dim: int, margin: bool = False):
+    """Orthonormal basis (columns) of ``{x in R^dim : rows @ x = 0}``.  With
+    ``margin``, also the smallest singular value the rank counts, relative to
+    the cut's scale (inf when rows has rank 0): how far the rank is from
+    falling."""
     if rows.size == 0:
-        return np.eye(dim)
+        return (np.eye(dim), np.inf) if margin else np.eye(dim)
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * max(float(s[0]) if s.size else 1.0, 1.0)))
+    scale = max(float(s[0]) if s.size else 1.0, 1.0)
+    rank = int(np.sum(s > 1e-10 * scale))
+    if margin:
+        return vt[rank:].T, float(s[rank - 1]) / scale if rank else np.inf
     return vt[rank:].T
 
 

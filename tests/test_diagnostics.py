@@ -1,9 +1,13 @@
+import importlib.util
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conesqp import cones, diagnostics, expr, polyhedra, problem, subproblem
+from conesqp import cones, diagnostics, expr, polyhedra, problem, registry, subproblem
 from conesqp.diagnostics import (
     CALM,
     INCONCLUSIVE,
@@ -19,8 +23,10 @@ from conesqp.diagnostics import (
 )
 from conesqp.problem import KKTPair, ProblemSpec
 
+import face_search_reference
 import serial_newton
 from test_expr import random_ast
+from test_random_crosschecks import random_kkt_instance
 
 CFG = DiagnosticsConfig(run_probe=False)
 
@@ -177,6 +183,107 @@ class TestNoncriticality:
                 Q = data.hess_xx + J.T @ Hc @ J
                 witness = diagnostics._noncrit_sampled(p, data, K, Q, J, Hc, CFG)
                 assert witness is None, name
+
+
+def _degenerate_cases(seed):
+    """The ``degenerate_faces`` cases of one benchmark seed, read from
+    ``perfbench/problems.py`` as ``scripts/degenerate_reports.py`` reads them."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("perfbench_problems", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.degenerate_cases(np.random.default_rng(seed))
+
+
+def _rotated_quadratic(R, d):
+    """``0.5 x'R diag(d) R'x`` subject to ``R'x >= 0``, the degenerate cases' form."""
+    m = len(d)
+    rows = [" + ".join(f"({float(R[j, i])!r})*x{j + 1}" for j in range(m)) for i in range(m)]
+    obj = " + ".join(f"({float(0.5 * d[i])!r})*({rows[i]})^2" for i in range(m))
+    return spec("rotated", obj, rows, cones.orthant(m), m)
+
+
+class TestFaceWalk:
+    """The screened face search against the unscreened reference, and the
+    work the shared walk saves."""
+
+    @staticmethod
+    def assert_matches_reference(p, z):
+        ref = face_search_reference.check_noncriticality(p, z)
+        for got in (check_noncriticality(p, z, CFG),
+                    classify_stationary_point(p, z, CFG).noncriticality):
+            assert (got.noncritical, got.conclusive, got.reason) == (
+                ref.noncritical, ref.conclusive, ref.reason)
+            if ref.witness is None:
+                assert got.witness is None
+            else:
+                for a, b in zip(got.witness, ref.witness):
+                    assert a.tobytes() == b.tobytes()
+        return ref
+
+    def test_registry_points(self, reg):
+        for entry in reg.values():
+            for kp in entry.known_points:
+                self.assert_matches_reference(entry.problem, kp.point)
+
+    def test_degenerate_cases(self):
+        verdicts = Counter()
+        for case in _degenerate_cases(1):
+            if case.doc["n"] <= 6:
+                p = registry.problem_from_dict(case.doc)
+                ref = self.assert_matches_reference(p, KKTPair(np.zeros(p.n), np.zeros(p.m)))
+                verdicts[ref.noncritical] += 1
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    def test_guard_band(self, rng):
+        # one curvature of each size near the screen's edge (1e-6) and below it
+        for small in (1e-4, 1e-7, 1e-10):
+            for m in (3, 4, 5):
+                R, _ = np.linalg.qr(rng.normal(size=(m, m)))
+                d = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+                d[rng.integers(m)] = small * rng.choice([-1.0, 1.0])
+                self.assert_matches_reference(_rotated_quadratic(R, d), KKTPair(np.zeros(m), np.zeros(m)))
+        # two constraint rows near rank loss: the unscreened search finds a
+        # witness at eps = 1e-8, on the face both rows pin to w = 0
+        for eps in (1e-6, 1e-8, 1e-9):
+            p = spec("eps", "0.5*x1^2 + 0.5*x2^2", ["x1", f"-x1 + {eps!r}*x2"], cones.orthant(2), 2)
+            self.assert_matches_reference(p, KKTPair(np.zeros(2), np.zeros(2)))
+
+    def test_random_instances(self, rng):
+        for _ in range(40):
+            self.assert_matches_reference(*random_kkt_instance(rng))
+
+    def test_work_counts_at_a_noncritical_case(self, monkeypatch):
+        case = next(c for c in _degenerate_cases(1) if c.noncritical and c.doc["n"] == 8)
+        p = registry.problem_from_dict(case.doc)
+        z = KKTPair(np.zeros(p.n), np.zeros(p.m))
+        calls = Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, staticmethod(wrapper) if owner is polyhedra.Polyhedron else wrapper)
+
+        counted(polyhedra.Polyhedron, "build")
+        counted(polyhedra, "_reduce_equalities")
+        counted(polyhedra, "null_basis")
+        assert check_noncriticality(p, z, CFG).noncritical
+        assert calls == Counter(null_basis=2**8)  # one per face, and no polyhedron
+        calls.clear()
+        data, K = diagnostics._gate(p, z)
+        assert diagnostics._srcq_primal(p, K, data.jac_f) is True
+        assert calls == Counter(_reduce_equalities=1)  # for all m + 1 targets
+        calls.clear()
+        check_srcq(p, z, CFG)
+        outside_walk = calls["null_basis"]
+        calls.clear()
+        classify_stationary_point(p, z, CFG)
+        assert calls["null_basis"] == 2**8 + outside_walk
 
 
 class TestSRCQ:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,70 @@ def test_against_linprog(kind):
                 assert side == -np.inf
             else:
                 assert side == pytest.approx(res.fun, abs=1e-7 * (1.0 + abs(res.fun)))
+
+
+def _feasible_by_elimination(P):
+    try:
+        polyhedra._elimination_stack(P.A, P.b, P.tol)
+    except polyhedra.Infeasible:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("low", [-0.0, -1e-300, 0.0])
+def test_nonnegative_right_hand_side_exit_agrees_with_elimination(monkeypatch, low):
+    # b >= 0 exactly puts z = 0 in the polyhedron, so is_feasible answers
+    # before eliminating; -0.0 counts as nonnegative, -1e-300 does not
+    rng = np.random.default_rng(7)
+    eliminated = []
+    stack = polyhedra._elimination_stack
+
+    def counting(*args):
+        eliminated.append(args)
+        return stack(*args)
+
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 7))
+        P = Polyhedron.build(d, a_ub=rng.normal(size=(k, d)), b_ub=np.zeros(k))
+        b = np.abs(rng.normal(size=k))
+        b[rng.random(k) < 0.5] = low
+        P = replace(P, b=b)
+        expected = _feasible_by_elimination(P)
+        eliminated.clear()
+        monkeypatch.setattr(polyhedra, "_elimination_stack", counting)
+        assert is_feasible(P) == expected
+        monkeypatch.setattr(polyhedra, "_elimination_stack", stack)
+        assert len(eliminated) == (0 if np.all(b >= 0.0) else 1)
+    # and on systems whose right-hand side has either sign
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 7))
+        P = Polyhedron.build(d, a_ub=rng.normal(size=(k, d)), b_ub=rng.normal(size=k))
+        assert is_feasible(P) == _feasible_by_elimination(P)
+
+
+def test_several_right_hand_sides_reduce_as_separate_calls(rng):
+    for _ in range(20):
+        d = int(rng.integers(2, 6))
+        k = int(rng.integers(1, d))
+        a_eq = rng.normal(size=(k, d))
+        a_eq = np.vstack([a_eq, rng.normal(size=(2, k)) @ a_eq])  # two dependent rows
+        consistent = a_eq @ rng.normal(size=(d, 3))
+        b_eqs = np.hstack([consistent, rng.normal(size=(k + 2, 1))])  # the last is inconsistent
+        T, qs, ok = polyhedra._reduce_equalities(a_eq, b_eqs, 1e-9)
+        assert ok.tolist() == [True, True, True, False]
+        for j in range(b_eqs.shape[1]):
+            T1, q1, ok1 = polyhedra._reduce_equalities(a_eq, b_eqs[:, [j]], 1e-9)
+            assert T.tobytes() == T1.tobytes() and T.shape == T1.shape
+            assert qs[j].tobytes() == q1[0].tobytes() and ok[j] == ok1[0]
+        a_ub = rng.normal(size=(3, d))
+        b_ub = rng.normal(size=3)
+        for P, b_eq in zip(Polyhedron.build_each(d, a_ub, b_ub, a_eq, b_eqs), b_eqs.T):
+            Q = Polyhedron.build(d, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+            assert np.array_equal(P.b_eq, Q.b_eq)
+            if Q.T is None:
+                assert P.T is None and P.A is None and P.b is None
+                continue
+            for a, b in ((P.T, Q.T), (P.q, Q.q), (P.A, Q.A), (P.b, Q.b)):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape
