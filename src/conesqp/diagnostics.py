@@ -214,13 +214,14 @@ def _ssoc_exact(G, faces) -> SSOCResult:
     witness = None
     for _, B, vals, vecs, _ in faces:
         for theta, v in zip(vals, vecs.T):
+            if not theta < best:  # this eigenpair cannot change the minimum
+                continue
             w = B @ v
             for s in (1.0, -1.0):
                 cand = s * w
                 if G.shape[0] == 0 or np.all(G @ cand <= 1e-9):
-                    if theta < best:
-                        best = float(theta)
-                        witness = cand
+                    best = float(theta)
+                    witness = cand
                     break
     return SSOCResult(best, witness, conclusive=True)
 

@@ -8,11 +8,21 @@ value together with the exact gradient and dense Hessian, which is all the
 smoothness the rest of the package needs (objectives and constraints are
 assumed twice differentiable at the points where they are evaluated);
 ``eval1`` skips the Hessian for callers that only need the gradient.
+
+Evaluation runs a tape: on the first ``eval1`` or ``eval2`` of an ``ExprAST``
+the tree is compiled, without recursion, into straight-line scalar
+instructions for the structurally nonzero entries of the value, gradient and
+Hessian, and the tape is kept on that ``ExprAST``.  It gives the bits of the
+dense forward-mode rules except for the sign of exact zeros, runs Python
+floats for a single point and ``(B,)`` columns for a stack of points, and
+has no depth limit, so a flat sum of thousands of terms evaluates.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,9 +279,18 @@ def _fmt(node: Node, parent_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Forward-mode evaluation with gradient and Hessian
+# Forward-mode evaluation with gradient and Hessian, on a tape
 
 _DIV_FLOOR = 1e-300
+
+# An instruction ``(op, a, b)`` appends ``op(r[a], r[b])`` to the registers
+# ``r``: the constants, then the inputs x1..xn, then one per instruction.
+_MUL, _ADD, _SUB, _DIV, _POW = range(5)
+# During a build a register is referenced as ``~j`` for constant j, ``i`` for
+# input i, ``n + t`` for the t-th gradient-stream instruction and ``_HESS + t``
+# for the t-th Hessian-stream one.
+_HESS = 1 << 30
+_LEAVES = (Const, Var)
 
 
 def eval2(ast: ExprAST, x: np.ndarray) -> SecondOrderValue:
@@ -282,15 +301,18 @@ def eval2(ast: ExprAST, x: np.ndarray) -> SecondOrderValue:
     of points ``(B, n)``: values ``(B,)``, gradients ``(B, n)`` and Hessians
     ``(B, n, n)`` are then, row by row, bit for bit those of the single
     points, and a zero denominator in any row raises ``EvalError``.
+
+    The first evaluation compiles ``ast`` into a tape of scalar instructions
+    for the structurally nonzero entries only, kept on ``ast``.  Each entry is
+    computed by the operations of the dense forward-mode rules, in their
+    order, less the terms with a structurally zero factor, so the bits are
+    those of dense evaluation except for the sign of an exact zero.  Where a
+    dropped term would have met a non-finite factor (where dense evaluation
+    makes ``0 * inf = nan``), the point goes through a tape that keeps every
+    term.  The tape is straight-line code, so even a flat sum of thousands
+    of terms has no depth limit.
     """
-    x = np.asarray(x, dtype=float)
-    v, g, h = _eval_root(ast, x, True)
-    h = 0.5 * (h + h.swapaxes(-1, -2))
-    if x.ndim == 1:
-        return SecondOrderValue(v, g, h)
-    values, grads, hess = np.empty((len(x), 1)), np.empty(x.shape), np.empty(x.shape + x.shape[-1:])
-    values[...], grads[...], hess[...] = v, g, h
-    return SecondOrderValue(values[:, 0], grads, hess)
+    return SecondOrderValue(*_evaluate(ast, x, True))
 
 
 def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -299,109 +321,400 @@ def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
     ``x`` may also be a stack of points ``(B, n)``: the values ``(B,)`` and
     gradients ``(B, n)`` are then, row by row, bit for bit those of the
     single points.  A zero denominator in any row raises ``EvalError``.
+    ``eval1`` runs the part of ``eval2``'s tape before the Hessian.
     """
-    x = np.asarray(x, dtype=float)
-    v, g, _ = _eval_root(ast, x, False)
-    if x.ndim == 1:
-        return v, g
-    # a stacked value is a (B, 1) column, or a float where it does not depend on x
-    values, grads = np.empty((len(x), 1)), np.empty(x.shape)
-    values[...], grads[...] = v, g
-    return values[:, 0], grads
+    return _evaluate(ast, x, False)
 
 
-def _eval_root(ast: ExprAST, x, hess: bool):
+def _evaluate(ast: ExprAST, x, hess: bool):
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (ast.n,) or x.ndim > 2:
         raise ValueError(f"point has shape {x.shape}, expected ({ast.n},)")
+    if x.ndim == 1:
+        point = x.tolist()
+        return _tape(ast, False).point(point, hess) or _tape(ast, True).point(point, hess)
+    out, inexact = _tape(ast, False).stack(x, hess)
+    if inexact is not None and inexact.any():
+        for full, rows in zip(out, _tape(ast, True).stack(x[inexact], hess)[0]):
+            full[inexact] = rows
+    return tuple(out)
+
+
+def _tape(ast: ExprAST, exact: bool) -> "_Tape":
+    """The tape of ``ast``, built on first use and kept on ``ast``, so it is
+    freed with the expression; the ``exact`` one serves the points where the
+    other does not answer."""
+    key = "_exact_tape" if exact else "_tape"
+    tape = ast.__dict__.get(key)  # beside the fields, so equality and hashing ignore it
+    if tape is None:
+        tape = ast.__dict__[key] = _compile(ast.root, ast.n, exact)
+    return tape
+
+
+def _power(t, k: float):
+    """``t ** k`` through the scalar power (libm ``pow``), for a value or a stack.
+
+    numpy's array power does not give the bits of the scalar power (squares
+    differ in about 1 of 1,000 random values), so a stack takes ``_row_power``.
+    Where Python's ``**`` refuses an overflow, ``pow`` gives the infinity."""
+    if isinstance(t, np.ndarray):
+        return _row_power(t, k)
     try:
-        return _eval(ast.root, x, ast.n, hess)
-    except RecursionError:
-        raise EvalError("expression nested too deeply to evaluate") from None
+        return t**k
+    except OverflowError:
+        return math.copysign(math.inf, t) if k % 2 else math.inf
 
 
-def _row_power(b: np.ndarray, k: int) -> np.ndarray:
-    """``b ** k`` element by element through the scalar power (libm ``pow``).
-
-    numpy's array power does not give the bits of its scalar power (squares
-    differ in about 1 of 1,000 random values), so a stack takes this path.
-    ``pow(t, 1)`` is ``t`` and ``pow(t, 0)`` is 1 exactly, so neither needs a loop."""
-    if k == 1:
-        return b
-    if k == 0:
-        return np.ones_like(b)
-    return np.array([t ** k for t in b.ravel()]).reshape(b.shape)
+def _row_power(b: np.ndarray, k: float) -> np.ndarray:
+    """``b ** k`` element by element through the scalar ``_power``."""
+    t = b.tolist()
+    try:
+        return np.array([s**k for s in t])
+    except OverflowError:
+        return np.array([_power(s, k) for s in t])
 
 
-def _col(v):
-    """A stacked value ``(B, 1)`` as ``(B, 1, 1)``, to scale stacked Hessians."""
-    return v[..., None] if isinstance(v, np.ndarray) else v
+def _run(code, r: list) -> None:
+    """Append the registers of the instructions ``code`` to ``r``; the same
+    loop runs Python floats for a point and ``(B,)`` columns for a stack."""
+    push = r.append
+    for op, a, b in zip(*code):
+        if op == _MUL:
+            push(r[a] * r[b])
+        elif op == _ADD:
+            push(r[a] + r[b])
+        elif op == _SUB:
+            push(r[a] - r[b])
+        elif op == _DIV:
+            push(r[a] / r[b])
+        else:
+            push(_power(r[a], r[b]))
 
 
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.outer`` of gradients, row by row for stacks ``(B, n)``."""
-    return a[..., :, None] * b[..., None, :]
+class _Tape:
+    """The straight-line program of one expression (forward mode; Griewank &
+    Walther, *Evaluating Derivatives*, 2008, ch. 3 and 13).
 
+    ``grad_code`` computes the value and the gradient, then ``hess_code`` the
+    Hessian, already symmetrized; ``value``, ``grad`` and ``hess`` name the
+    registers that hold the outputs (a zero constant where an entry is
+    structurally zero).  ``checks`` are the denominators.  Each code is
+    ``(ops, a, b)``: a ``bytes`` of operations and two ``array('i')`` of
+    registers.  An ``exact`` tape answers everywhere: it keeps every term of
+    the dense rules, or it has no product, quotient or power, so it drops no
+    term with a factor.  Any other tape has finite constants and answers only
+    where every register before the Hessian, so every factor of a dropped
+    term, is finite."""
 
-def _power(b, k: int):
-    """``b ** k`` of a value: the scalar power, row by row for a stack."""
-    return _row_power(b, k) if isinstance(b, np.ndarray) else b ** k
+    __slots__ = ("n", "consts", "grad_code", "hess_code", "value", "grad", "hess", "checks",
+                 "exact")
 
+    def __init__(self, n, consts, grad_code, hess_code, value, grad, hess, checks, exact):
+        self.n, self.consts, self.grad_code, self.hess_code = n, consts, grad_code, hess_code
+        self.value, self.grad, self.hess, self.checks, self.exact = value, grad, hess, checks, exact
 
-def _eval(node: Node, x: np.ndarray, n: int, hess: bool):
-    """``(value, gradient, Hessian)`` of ``node``; the Hessian is None unless ``hess``.
-
-    For a stack ``x`` of shape ``(B, n)`` a value is a ``(B, 1)`` column, a
-    gradient ``(B, n)`` and a Hessian ``(B, n, n)``, so every rule broadcasts
-    unchanged once ``_col`` lifts the values that scale a Hessian; subtrees
-    free of variables keep their scalar values."""
-    if isinstance(node, Const):
-        return node.value, np.zeros(n), np.zeros((n, n)) if hess else None
-    if isinstance(node, Var):
-        g = np.zeros(n)
-        g[node.index] = 1.0
-        v = x[node.index] if x.ndim == 1 else x[:, node.index : node.index + 1]
-        return v, g, np.zeros((n, n)) if hess else None
-    if isinstance(node, Neg):
-        v, g, h = _eval(node.operand, x, n, hess)
-        return -v, -g, -h if hess else None
-    if isinstance(node, (Add, Sub)):
-        va, ga, ha = _eval(node.left, x, n, hess)
-        vb, gb, hb = _eval(node.right, x, n, hess)
-        if isinstance(node, Add):
-            return va + vb, ga + gb, ha + hb if hess else None
-        return va - vb, ga - gb, ha - hb if hess else None
-    if isinstance(node, Mul):
-        va, ga, ha = _eval(node.left, x, n, hess)
-        vb, gb, hb = _eval(node.right, x, n, hess)
-        return (
-            va * vb,
-            ga * vb + va * gb,
-            ha * _col(vb) + _col(va) * hb + _outer(ga, gb) + _outer(gb, ga) if hess else None,
-        )
-    if isinstance(node, Div):
-        va, ga, ha = _eval(node.left, x, n, hess)
-        vb, gb, hb = _eval(node.right, x, n, hess)
-        small = abs(vb) < _DIV_FLOOR
-        if small.any() if isinstance(small, np.ndarray) else small:
-            raise EvalError("division by zero")
-        q = va / vb
-        gq = (ga - q * gb) / vb
+    def point(self, x: list, hess: bool):
+        """``(value, gradient[, Hessian])`` at the point ``x`` (a list of
+        floats), or None where this tape does not answer."""
+        r = self.consts.tolist() + x
+        try:
+            _run(self.grad_code, r)
+        except ZeroDivisionError:
+            raise EvalError("division by zero") from None
+        for c in self.checks:
+            if abs(r[c]) < _DIV_FLOOR:
+                raise EvalError("division by zero")
+        if not self.exact:
+            total = sum(r)  # finite only if every register is
+            if total - total != 0.0 and not all(map(math.isfinite, r)):
+                return None
+        value, grad = r[self.value], np.array([r[i] for i in self.grad])
         if not hess:
-            return q, gq, None
-        return q, gq, (ha - _col(q) * hb - _outer(gq, gb) - _outer(gb, gq)) / _col(vb)
-    if isinstance(node, Pow):
-        vb, gb, hb = _eval(node.base, x, n, hess)
-        k = node.exponent
+            return value, grad
+        _run(self.hess_code, r)
+        return value, grad, np.array([r[i] for i in self.hess]).reshape(self.n, self.n)
+
+    def stack(self, X: np.ndarray, hess: bool):
+        """The stacked outputs at the rows of ``X`` ``(B, n)``, and the rows
+        where this tape does not answer."""
+        rows = len(X)
+        r = self.consts.tolist() + list(X.T)
+        if self.checks:  # a zero denominator is refused after the division
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _run(self.grad_code, r)
+        else:
+            _run(self.grad_code, r)
+        for c in self.checks:
+            if (abs(r[c]) < _DIV_FLOOR).any():
+                raise EvalError("division by zero")
+        inexact = None
+        if not self.exact:
+            runtime = r[len(self.consts):]
+            inexact = ~np.isfinite(np.array(runtime).reshape(len(runtime), rows)).all(axis=0)
+        value = np.empty(rows)
+        value[...] = r[self.value]
+        out = [value, _columns(r, self.grad, rows)]
+        if hess:
+            _run(self.hess_code, r)
+            out.append(_columns(r, self.hess, rows).reshape(rows, self.n, self.n))
+        return out, inexact
+
+
+def _columns(r: list, refs, rows: int) -> np.ndarray:
+    """``(rows, len(refs))``: the registers ``refs`` side by side."""
+    out = np.empty((rows, len(refs)))
+    for k, ref in enumerate(refs):
+        out[:, k] = r[ref]
+    return out
+
+
+class _Builder:
+    """Emits one tape.  An operand is a register (``int``) or a constant
+    (``float``), which gets a register only when an instruction or an output
+    needs it.  Constant operations are folded in float64; ``1 * t`` is ``t``
+    bit for bit, so it emits nothing; equal instructions are emitted once
+    (``*`` and ``+`` commute bit for bit).  In each node's gradient ``g``
+    (keyed by ``i``) and Hessian ``h`` (keyed by ``i * n + j``) an absent
+    entry is structurally zero, unless the build is ``exact``.  No rule
+    changes a child's dictionaries, so children may share them."""
+
+    def __init__(self, n: int, exact: bool):
+        self.n, self.exact = n, exact
+        self.consts: list[float] = []
+        self.const_refs: dict = {}
+        self.finite = True  # every constant so far, folded or not, is finite
+        self.codes = ([], [])  # (op, a, b) after (op, a, b), per stream
+        self.stream = 0  # 1 while emitting Hessian entries
+        self.memo: dict = {}
+        self.checks: list[int] = []
+
+    def reg(self, a: float) -> int:
+        """The register of the constant ``a``."""
+        key = a if a else (a, math.copysign(1.0, a))  # 0.0 and -0.0 apart
+        ref = self.const_refs.get(key)
+        if ref is None:
+            ref = self.const_refs[key] = ~len(self.consts)
+            self.consts.append(self.fold(a))
+        return ref
+
+    def fold(self, value: float) -> float:
+        if value - value:  # nan for inf and nan
+            self.finite = False
+        return value
+
+    def emit(self, op: int, a, b) -> int:
+        if type(a) is float:
+            a = self.reg(a)
+        if type(b) is float:
+            b = self.reg(b)
+        key = (op, a, b)
+        ref = self.memo.get(key)
+        if ref is None or (ref >= _HESS and not self.stream):
+            code = self.codes[self.stream]
+            ref = self.memo[key] = (_HESS if self.stream else self.n) + len(code) // 3
+            code += key
+        return ref
+
+    def mul(self, a, b):
+        if type(a) is float:
+            if a == 1.0:
+                return b
+            if type(b) is float:
+                return a if b == 1.0 else self.fold(a * b)
+            a = self.reg(a)
+        elif type(b) is float:
+            if b == 1.0:
+                return a
+            b = self.reg(b)
+        return self.emit(_MUL, a, b) if a < b else self.emit(_MUL, b, a)
+
+    def add(self, a, b):
+        if type(a) is float:
+            if type(b) is float:
+                return self.fold(a + b)
+            a = self.reg(a)
+        elif type(b) is float:
+            b = self.reg(b)
+        return self.emit(_ADD, a, b) if a < b else self.emit(_ADD, b, a)
+
+    def sub(self, a, b):
+        if type(a) is float and type(b) is float:
+            return self.fold(a - b)
+        return self.emit(_SUB, a, b)
+
+    def neg(self, a):
+        return self.mul(-1.0, a)  # -1 * t is -t, bit for bit
+
+    def div(self, a, b):
+        if type(a) is float and type(b) is float:
+            return self.fold(a / b)
+        return self.emit(_DIV, a, b)
+
+    def power(self, a, k: int):
         if k == 0:
-            return 1.0, np.zeros(n), np.zeros((n, n)) if hess else None
+            return 1.0  # pow(t, 0) is 1, even for nan
         if k == 1:
-            return vb, gb, hb
-        vk1 = _power(vb, k - 1)
-        v = vk1 * vb
-        g = k * vk1 * gb
-        if not hess:
-            return v, g, None
-        h = _col(k * vk1) * hb + _col(k * (k - 1) * _power(vb, k - 2)) * _outer(gb, gb)
-        return v, g, h
-    raise TypeError(node)  # pragma: no cover
+            return a
+        if type(a) is float:
+            return self.fold(_power(a, k))
+        return self.emit(_POW, a, float(k))
+
+    def check(self, b) -> None:
+        """The denominator ``b`` must be nonzero: now for a constant, at run time otherwise."""
+        if type(b) is int:
+            self.checks.append(b)
+        elif abs(b) < _DIV_FLOOR:
+            raise EvalError("division by zero")
+
+    def zeros(self, size: int) -> dict:
+        return dict.fromkeys(range(size), 0.0) if self.exact else {}
+
+    def plus(self, acc: dict, terms) -> dict:
+        """``acc + terms`` entry by entry, from ``(key, term)`` pairs; an absent
+        entry of ``acc`` is zero.  Changes ``acc``."""
+        add = self.add
+        for key, t in terms:
+            s = acc.get(key)
+            acc[key] = t if s is None else add(s, t)
+        return acc
+
+    def minus(self, acc: dict, terms) -> dict:
+        """``acc - terms``, as ``plus``."""
+        sub, neg = self.sub, self.neg
+        for key, t in terms:
+            s = acc.get(key)
+            acc[key] = neg(t) if s is None else sub(s, t)
+        return acc
+
+    def outer(self, ga: dict, gb: dict):
+        """The ``(key, term)`` pairs of ``outer(ga, gb)``."""
+        n, mul = self.n, self.mul
+        return [(i * n + j, mul(ri, rj)) for i, ri in ga.items() for j, rj in gb.items()]
+
+
+def _compile(root: Node, n: int, exact: bool) -> _Tape:
+    """The tape of the expression ``root`` over x1..xn (see ``_Tape``): one
+    post-order walk without recursion, each node evaluated once (by ``id``)."""
+    bld = _Builder(n, exact)
+    mul, add, sub, neg, plus, minus = bld.mul, bld.add, bld.sub, bld.neg, bld.plus, bld.minus
+    g0, h0 = bld.zeros(n), bld.zeros(n * n)
+    variables = []
+    for i in range(n):
+        g = bld.zeros(n)
+        g[i] = 1.0
+        variables.append((i, g, h0))
+    done: dict = {}  # id(node) -> (value, gradient, Hessian), for every node but the leaves
+
+    def leaf(node):
+        if type(node) is Var:
+            return variables[node.index]
+        return bld.fold(float(node.value)), g0, h0
+
+    products = False  # a product, quotient or power may drop a term with a factor
+    stack = [] if type(root) in _LEAVES else [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        key = id(node)
+        if key in done:
+            continue
+        cls = type(node)
+        if not ready:
+            stack.append((node, True))
+            if cls is Neg:
+                child = node.operand
+            elif cls is Pow:
+                child = node.base
+            else:
+                child = node.right
+                if type(child) not in _LEAVES:
+                    stack.append((child, False))
+                child = node.left
+            if type(child) not in _LEAVES:
+                stack.append((child, False))
+            continue
+        if cls is Neg:
+            va, ga, ha = done.get(id(node.operand)) or leaf(node.operand)
+            v, g = neg(va), {i: neg(r) for i, r in ga.items()}
+            bld.stream = 1
+            h = {k: neg(r) for k, r in ha.items()}
+        elif cls is Pow:
+            v, g, h = done.get(id(node.base)) or leaf(node.base)
+            k = node.exponent
+            if k == 0:  # the base was still evaluated: its denominators are checked
+                v, g, h = 1.0, g0, h0
+            elif k > 1:
+                products = True
+                vb, gb, hb = v, g, h
+                vk1 = bld.power(vb, k - 1)
+                v = mul(vk1, vb)
+                c1 = mul(float(k), vk1)
+                c2 = mul(float(k * (k - 1)), bld.power(vb, k - 2))
+                g = {i: mul(c1, r) for i, r in gb.items()}
+                bld.stream = 1
+                h = plus({e: mul(c1, r) for e, r in hb.items()},
+                         [(e, mul(c2, t)) for e, t in bld.outer(gb, gb)])
+        else:
+            va, ga, ha = done.get(id(node.left)) or leaf(node.left)
+            vb, gb, hb = done.get(id(node.right)) or leaf(node.right)
+            products = products or cls is Mul or cls is Div
+            if cls is Add:
+                v, g = add(va, vb), plus(dict(ga), gb.items()) if gb else ga
+                bld.stream = 1
+                h = plus(dict(ha), hb.items()) if hb else ha
+            elif cls is Sub:
+                v, g = sub(va, vb), minus(dict(ga), gb.items()) if gb else ga
+                bld.stream = 1
+                h = minus(dict(ha), hb.items()) if hb else ha
+            elif cls is Mul:
+                v = mul(va, vb)
+                g = {i: mul(r, vb) for i, r in ga.items()}
+                if gb:
+                    plus(g, [(i, mul(va, r)) for i, r in gb.items()])
+                bld.stream = 1
+                h = {k: mul(r, vb) for k, r in ha.items()}
+                if hb:
+                    plus(h, [(k, mul(va, r)) for k, r in hb.items()])
+                if ga and gb:
+                    plus(plus(h, bld.outer(ga, gb)), bld.outer(gb, ga))
+            else:  # Div
+                bld.check(vb)
+                v = q = bld.div(va, vb)
+                g = minus(dict(ga), [(i, mul(q, r)) for i, r in gb.items()])
+                g = {i: bld.div(r, vb) for i, r in g.items()}
+                bld.stream = 1
+                h = minus(dict(ha), [(k, mul(q, r)) for k, r in hb.items()])
+                minus(minus(h, bld.outer(g, gb)), bld.outer(gb, g))
+                h = {k: bld.div(r, vb) for k, r in h.items()}
+        bld.stream = 0
+        done[key] = v, g, h
+
+    v, g, h = done.get(id(root)) or leaf(root)
+
+    def reg(r) -> int:
+        return r if type(r) is int else bld.reg(r)
+
+    zero = reg(0.0)  # the structurally zero entries
+    grad = [zero] * n
+    for i, r in g.items():
+        grad[i] = reg(r)
+    bld.stream = 1
+    hess = [zero] * (n * n)
+    for k, r in h.items():  # 0.5 * (h + h'), as one rule for every entry
+        i, j = divmod(k, n)
+        t = h.get(j * n + i)
+        hess[k] = reg(mul(0.5, r if t is None else add(r, t)))
+    value = reg(v)
+    if not (exact or bld.finite):
+        return _compile(root, n, True)  # a dropped term may meet the non-finite constant anywhere
+
+    consts = len(bld.consts)
+    code1, code2 = bld.codes
+    shift = consts + n + len(code1) // 3 - _HESS
+
+    def refs(seq) -> array:
+        return array("i", [~r if r < 0 else r + consts if r < _HESS else r + shift for r in seq])
+
+    return _Tape(n, array("d", bld.consts),
+                 (bytes(code1[::3]), refs(code1[1::3]), refs(code1[2::3])),
+                 (bytes(code2[::3]), refs(code2[1::3]), refs(code2[2::3])),
+                 refs([value])[0], refs(grad), refs(hess), refs(bld.checks), exact or not products)

@@ -78,8 +78,14 @@ class TestListAndLoad:
         path.write_text(json.dumps({"n": 1, "objective": objective,
                                     "constraints": [{"expr": "x1"}],
                                     "cone": {"blocks": [{"kind": "orthant", "dim": 1}]}}))
-        assert run(["solve", str(path)]) == 2
-        assert "error: expression nested too deeply" in capsys.readouterr().err
+        code = run(["solve", str(path)])
+        err = capsys.readouterr().err
+        if objective.startswith("-"):  # the recursive-descent parser refuses the nesting
+            assert code == 2
+            assert "error: expression nested too deeply" in err
+        else:  # a flat sum is a long chain, which the tape evaluates without recursion
+            assert code in (0, 1)
+            assert "Traceback" not in err and "nested too deeply" not in err
 
     def test_unknown_problem_exits_2(self, capsys):
         assert run(["solve", "no_such_problem"]) == 2

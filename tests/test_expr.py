@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import expr_reference
 from conesqp import expr
 from conesqp.expr import Add, Const, Div, Mul, Neg, Pow, Sub, Var
 
@@ -287,6 +288,92 @@ class TestStackedEval2:
             expr.eval2(expr.parse("x1", 1), np.zeros((3, 2)))
         with pytest.raises(ValueError):
             expr.eval2(expr.parse("x1", 1), np.zeros((2, 3, 1)))
+
+
+def _quadratic_text(rng, n: int, cubic: bool) -> str:
+    """A shifted quadratic (or cubic) in x1..xn, written as the benchmark's
+    generated problems write theirs: ``c*(xi - s)*(xj - s')`` terms."""
+    d = [f"(x{i + 1} - {s!r})" if s > 0 else f"(x{i + 1} + {-s!r})"
+         for i, s in enumerate(rng.uniform(-1.0, 1.0, n).tolist())]
+    terms = [repr(float(rng.normal()))]
+    for i in range(n):
+        terms += [f"{rng.normal()!r}*{d[i]}", f"{rng.normal()!r}*{d[i]}^2"]
+        terms += [f"{rng.normal()!r}*{d[i]}*{d[j]}" for j in range(i + 1, n)]
+        if cubic:
+            terms.append(f"{rng.normal()!r}*{d[i]}^3")
+    return " + ".join(terms)
+
+
+def _reference_outputs(evaluate, ast, x):
+    try:
+        return evaluate(ast, x)
+    except expr.EvalError:
+        return None
+
+
+def _bits(a, zero_signs=True):
+    a = np.asarray(a, dtype=float)
+    return (a if zero_signs else a + 0.0).tobytes()
+
+
+def _assert_like_dense(got, ref):
+    """Outside the sign of exact zeros, the dense bits; non-finite entries are
+    compared by their NaN and infinity masks."""
+    for a, b in ((got.value, ref.value), (got.gradient, ref.gradient), (got.hessian, ref.hessian)):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape
+        assert np.array_equal(np.isnan(a), np.isnan(b)) and np.array_equal(np.isinf(a), np.isinf(b))
+        assert _bits(np.where(np.isfinite(a), a, 0.0), False) == _bits(
+            np.where(np.isfinite(b), b, 0.0), False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow at the 1e200 points
+def test_tape_matches_the_dense_reference(reg):
+    """The tape against the recursive dense evaluator of ``expr_reference``:
+    the same bits up to zero signs, EvalError on the same points, NaN and
+    infinity in the same entries at overflowing points, and stacked rows and
+    ``eval1`` bit for bit those of single points and ``eval2``."""
+    rng = np.random.default_rng(26)
+    cases = [(e, e.n) for entry in reg.values()
+             for e in (entry.problem.objective, *entry.problem.constraints)]
+    for i in range(40):
+        n = 1 + i % 5
+        cases.append((expr.parse(_quadratic_text(rng, n, cubic=i % 2 == 1), n), n))
+    for i in range(400):
+        n = int(rng.integers(1, 4))
+        root = random_ast(rng, n, depth=int(rng.integers(1, 5)))
+        if i % 3 == 0:
+            root = Pow(root, int(rng.integers(4, 13)))
+        elif i % 3 == 1:  # zero denominators at some of the points below
+            root = Div(root, random_ast(rng, n, depth=2))
+        cases.append((expr.ExprAST(root, n), n))
+    for ast, n in cases:
+        X = rng.normal(size=(7, n)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1))
+        X[0] = 0.0
+        X[1, 0], X[2, -1] = -0.0, 0.0
+        X[3] = 1e200
+        X[4, 0] = -1e200
+        X[5, -1] = 1e-310  # a denominator below the floor, yet not zero
+        singles = []
+        for x in X:
+            ref = _reference_outputs(expr_reference.eval2, ast, x)
+            got = _reference_outputs(expr.eval2, ast, x)
+            assert (got is None) == (ref is None), (expr.to_string(ast), x)
+            if got is not None:
+                _assert_like_dense(got, ref)
+                value, grad = expr.eval1(ast, x)
+                assert _bits(value) == _bits(got.value) and _bits(grad) == _bits(got.gradient)
+            singles.append(got)
+        stacked = _reference_outputs(expr.eval2, ast, X)
+        assert (stacked is None) == any(s is None for s in singles)
+        if stacked is None:
+            continue
+        values, grads = expr.eval1(ast, X)
+        assert _bits(values) == _bits(stacked.value) and _bits(grads) == _bits(stacked.gradient)
+        for b, single in enumerate(singles):
+            assert _bits(stacked.value[b]) == _bits(single.value)
+            assert _bits(stacked.gradient[b]) == _bits(single.gradient)
+            assert _bits(stacked.hessian[b]) == _bits(single.hessian)
 
 
 # round-trips: parse(to_string(ast)) reproduces the tree exactly on the
