@@ -139,9 +139,7 @@ def _gate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, CriticalCone]:
     check below reads that decision from it.  A point far enough out
     overflows to inf or nan quietly, and its residual then fails the gate.
     """
-    with np.errstate(all="ignore"):
-        data = problem_mod.lagrangian_data(p, z)
-        res = problem_mod._kkt_residual_of(p, z, data)
+    data, res = problem_mod.evaluate(p, z)
     scale = 1.0 + float(np.linalg.norm(z.lam))
     if not res.total <= _TOL * scale:  # a NaN residual fails too
         raise ValueError(
@@ -170,60 +168,59 @@ def check_ssoc(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     return _ssoc(p, K, _curvature(p, data, K), cfg)
 
 
-def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone, share: bool = False):
-    """``(J, Hc, Q, E J, G J, faces)``: the constraint Jacobian, the cone's
+def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone):
+    """``(J, Hc, Q, E J, G J, walk)``: the constraint Jacobian, the cone's
     curvature matrix, the symmetric matrix ``Q`` of the stability quadratic,
-    the critical cone's rows pulled back to directions, and the walk over
-    its faces when it is polyhedral and within the face budget (else None).
-    The walk is lazy, or a list with ``share`` for SSOC and noncriticality."""
+    the critical cone's rows pulled back to directions, and ``_face_walk``
+    when the cone is polyhedral and within the face budget (else None)."""
     J = data.jac_f
     Hc = K.curvature_matrix()
     Q = data.hess_xx + J.T @ Hc @ J
     Q = 0.5 * (Q + Q.T)
     EJ = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
     GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
-    faces = None
+    walk = None
     if K.is_polyhedral and GJ.shape[0] <= _FACE_BUDGET:
-        faces = list(_faces(Q, EJ, GJ, p.n)) if share else _faces(Q, EJ, GJ, p.n)
-    return J, Hc, Q, EJ, GJ, faces
+        walk = _face_walk(Q, EJ, GJ, p.n)
+    return J, Hc, Q, EJ, GJ, walk
 
 
-def _faces(Q, EJ, GJ, n):
-    """``(S, B_S, vals, vecs, margin)`` per face S, in ``(r, combinations)``
-    order: ``B_S`` is an orthonormal basis of ``{w : E J w = 0, G_S J w = 0}``
-    with the rank margin of ``polyhedra.null_basis``, and ``vals, vecs`` the
-    eigenpairs of ``R_S = B_S' Q B_S``."""
+def _face_walk(Q, EJ, GJ, n):
+    """One pass over the faces S in ``(r, combinations)`` order: ``B_S`` is an
+    orthonormal basis of ``{w : E J w = 0, G_S J w = 0}`` with the rank margin
+    of ``polyhedra.null_basis``, and the eigenpairs of ``R_S = B_S' Q B_S``
+    give the SSOC minimum.  Returns that ``SSOCResult`` and, for the
+    noncriticality screen, ``(S, eigenvalues of R_S, margin)`` per face; no
+    basis or eigenvector outlives its face."""
     q = GJ.shape[0]
+    best = math.inf
+    witness = None
+    faces = []
     for r in range(q + 1):
         for S in combinations(range(q), r):
             rows = np.vstack([EJ, GJ[list(S)]]) if (EJ.size or S) else np.zeros((0, n))
             B, margin = polyhedra.null_basis(rows, n, margin=True)
             R = B.T @ Q @ B
-            yield (S, B, *np.linalg.eigh(0.5 * (R + R.T)), margin)
+            vals, vecs = np.linalg.eigh(0.5 * (R + R.T))
+            for theta, v in zip(vals, vecs.T):
+                if not theta < best:  # this eigenpair cannot change the minimum
+                    continue
+                w = B @ v
+                for s in (1.0, -1.0):
+                    cand = s * w
+                    if q == 0 or np.all(GJ @ cand <= 1e-9):
+                        best = float(theta)
+                        witness = cand
+                        break
+            faces.append((S, vals, margin))
+    return SSOCResult(best, witness, conclusive=True), faces
 
 
 def _ssoc(p: ProblemSpec, K: CriticalCone, curv, cfg: DiagnosticsConfig) -> SSOCResult:
-    J, _, Q, E, G, faces = curv
-    if faces is not None:
-        return _ssoc_exact(G, faces)
+    J, _, Q, E, G, walk = curv
+    if walk is not None:
+        return walk[0]
     return _ssoc_sampled(Q, E, G, K, J, p.n, cfg)
-
-
-def _ssoc_exact(G, faces) -> SSOCResult:
-    best = math.inf
-    witness = None
-    for _, B, vals, vecs, _ in faces:
-        for theta, v in zip(vals, vecs.T):
-            if not theta < best:  # this eigenpair cannot change the minimum
-                continue
-            w = B @ v
-            for s in (1.0, -1.0):
-                cand = s * w
-                if G.shape[0] == 0 or np.all(G @ cand <= 1e-9):
-                    best = float(theta)
-                    witness = cand
-                    break
-    return SSOCResult(best, witness, conclusive=True)
 
 
 def _ssoc_sampled(Q, E, G, K: CriticalCone, J, n, cfg: DiagnosticsConfig) -> SSOCResult:
@@ -271,10 +268,10 @@ def check_noncriticality(
 def _noncriticality(
     p: ProblemSpec, data: LagrangianData, K: CriticalCone, curv, cfg: DiagnosticsConfig
 ) -> NoncriticalityResult:
-    J, Hc, Q, _, GJ, faces = curv
-    if faces is not None:
+    J, Hc, Q, _, GJ, walk = curv
+    if walk is not None:
         try:
-            witness = _noncrit_face_search(p, data, K, Q, J, Hc, faces)
+            witness = _noncrit_face_search(p, data, K, Q, J, Hc, walk[1])
         except BudgetExceeded as exc:
             return NoncriticalityResult(False, None, conclusive=False, reason=str(exc))
         if witness is not None:
@@ -306,7 +303,7 @@ def _noncrit_face_search(p, data, K: CriticalCone, Q, J, Hc, faces):
     E, G = K.eq, K.ineq
     q = G.shape[0]
     screen = _SCREEN * (1.0 + float(np.max(np.abs(Q))))
-    for S, _, vals, _, margin in faces:
+    for S, vals, margin in faces:
         if margin > _SCREEN and np.all(np.abs(vals) > screen):
             continue
         S = list(S)
@@ -542,7 +539,7 @@ def _srcq_primal(p: ProblemSpec, K: CriticalCone, J) -> bool | None:
 def check_multiplier_calmness(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None) -> CalmnessResult:
     """Calm for polyhedral cones; otherwise strict complementarity is the
     only sufficient condition implemented, anything else is Inconclusive.
-    No ``cfg`` setting changes this check; it shares the ``check_*`` signature."""
+    No ``cfg`` setting changes this check; it keeps the ``check_*`` signature."""
     return _multiplier_calmness(p, _gate(p, z)[1])
 
 
@@ -731,7 +728,7 @@ def classify_stationary_point(
     """
     cfg = cfg or DiagnosticsConfig()
     data, K = _gate(p, z)
-    curv = _curvature(p, data, K, share=True)
+    curv = _curvature(p, data, K)
     ssoc = _ssoc(p, K, curv, cfg)
     srcq = _srcq(p, data, K, cfg)
     noncrit = _noncriticality(p, data, K, curv, cfg)

@@ -124,6 +124,17 @@ def kkt_residual(p: ProblemSpec, z: KKTPair) -> KKTResidual:
     return _kkt_residual_of(p, z, lagrangian_data(p, z))
 
 
+def evaluate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, KKTResidual]:
+    """The Lagrangian data of ``z`` and its KKT residual, from one evaluation.
+
+    A point far enough out overflows to inf or nan quietly; its residual is
+    then not finite, and the caller's tolerance test fails on it.
+    """
+    with np.errstate(all="ignore"):
+        data = lagrangian_data(p, z)
+        return data, _kkt_residual_of(p, z, data)
+
+
 def _kkt_residual_of(p: ProblemSpec, z: KKTPair, data: LagrangianData) -> KKTResidual:
     """``kkt_residual`` from the Lagrangian data of ``z`` already at hand."""
     return KKTResidual(

@@ -85,21 +85,10 @@ def _subproblem_of(p: ProblemSpec, data: LagrangianData) -> SubproblemData:
     )
 
 
-def _evaluate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, KKTResidual]:
-    """One Lagrangian evaluation per iterate serves its residual and its subproblem.
-
-    An iterate far enough out overflows to inf or nan, quietly: the
-    subproblem built from it then refuses the non-finite data by name.
-    """
-    with np.errstate(all="ignore"):
-        data = problem_mod.lagrangian_data(p, z)
-        return data, problem_mod._kkt_residual_of(p, z, data)
-
-
 def run_basic_sqp(p: ProblemSpec, z0: KKTPair, cfg: SQPConfig | None = None) -> ConvergenceReport:
     cfg = cfg or SQPConfig()
     z = z0
-    data, residual = _evaluate(p, z)
+    data, residual = problem_mod.evaluate(p, z)  # one per iterate: residual and subproblem
     iterates = [z]
     residuals = [residual]
     step_norms: list[float] = []
@@ -124,7 +113,7 @@ def run_basic_sqp(p: ProblemSpec, z0: KKTPair, cfg: SQPConfig | None = None) -> 
         step = z_next.distance_to(z)
         step_norms.append(step)
         iterates.append(z_next)
-        data, residual = _evaluate(p, z_next)
+        data, residual = problem_mod.evaluate(p, z_next)
         residuals.append(residual)
         z = z_next
         # a step that lands on a KKT point converges even if it was long;

@@ -1,19 +1,79 @@
-"""The noncriticality face search without the reduced-Hessian screen: a
-reference for tests of ``diagnostics._noncrit_face_search``.
+"""Reference face searches for tests of ``diagnostics._face_walk`` and
+``diagnostics._noncrit_face_search``.
 
-``noncrit_face_search`` is the search as it ran before it read the shared
-face walk: one Fourier-Motzkin system in ``(w, a, b)`` for every pattern S
-of the critical cone's inequality rows, in ``(r, combinations)`` order.
-The screened search must return exactly its verdict and its witness bits.
+``noncrit_face_search`` is the noncriticality search as it ran before it
+read the shared face walk: one Fourier-Motzkin system in ``(w, a, b)`` for
+every pattern S of the critical cone's inequality rows, in
+``(r, combinations)`` order, without the reduced-Hessian screen.
+``ssoc_exact`` is the SSOC minimum as it ran on a lazy walk over the faces,
+each face's basis and eigenpairs read once.  The one-pass walk must return
+exactly their verdicts and their witness bits.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 
 from conesqp import diagnostics, polyhedra
-from conesqp.diagnostics import NoncriticalityResult
+from conesqp.diagnostics import NoncriticalityResult, SSOCResult
 from conesqp.polyhedra import BudgetExceeded, Polyhedron
+
+
+def _faces(Q, EJ, GJ, n):
+    """``(S, B_S, vals, vecs, margin)`` per face S, in ``(r, combinations)``
+    order: ``B_S`` is an orthonormal basis of ``{w : E J w = 0, G_S J w = 0}``
+    with the rank margin of ``polyhedra.null_basis``, and ``vals, vecs`` the
+    eigenpairs of ``R_S = B_S' Q B_S``."""
+    q = GJ.shape[0]
+    for r in range(q + 1):
+        for S in combinations(range(q), r):
+            rows = np.vstack([EJ, GJ[list(S)]]) if (EJ.size or S) else np.zeros((0, n))
+            B, margin = polyhedra.null_basis(rows, n, margin=True)
+            R = B.T @ Q @ B
+            yield (S, B, *np.linalg.eigh(0.5 * (R + R.T)), margin)
+
+
+def _ssoc_exact(G, faces) -> SSOCResult:
+    best = math.inf
+    witness = None
+    for _, B, vals, vecs, _ in faces:
+        for theta, v in zip(vals, vecs.T):
+            if not theta < best:  # this eigenpair cannot change the minimum
+                continue
+            w = B @ v
+            for s in (1.0, -1.0):
+                cand = s * w
+                if G.shape[0] == 0 or np.all(G @ cand <= 1e-9):
+                    best = float(theta)
+                    witness = cand
+                    break
+    return SSOCResult(best, witness, conclusive=True)
+
+
+def _stability_data(data, K):
+    """``(J, Hc, Q)``: the Jacobian, the cone's curvature matrix and the
+    symmetric matrix of the stability quadratic."""
+    J = data.jac_f
+    Hc = K.curvature_matrix()
+    Q = data.hess_xx + J.T @ Hc @ J
+    return J, Hc, 0.5 * (Q + Q.T)
+
+
+def _exact(K):
+    return K.is_polyhedral and K.ineq.shape[0] <= diagnostics._FACE_BUDGET
+
+
+def ssoc_exact(p, z):
+    """``diagnostics.check_ssoc`` from the lazy face walk wherever the minimum
+    is exact; elsewhere it is the package's own check."""
+    data, K = diagnostics._gate(p, z)
+    if not _exact(K):
+        return diagnostics.check_ssoc(p, z)
+    J, _, Q = _stability_data(data, K)
+    EJ = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
+    GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
+    return _ssoc_exact(GJ, _faces(Q, EJ, GJ, p.n))
 
 
 def noncrit_face_search(p, data, K, Q, J, Hc):
@@ -68,12 +128,9 @@ def check_noncriticality(p, z):
     """``diagnostics.check_noncriticality`` with the unscreened face search
     wherever the search is exact; elsewhere it is the package's own check."""
     data, K = diagnostics._gate(p, z)
-    if not (K.is_polyhedral and K.ineq.shape[0] <= diagnostics._FACE_BUDGET):
+    if not _exact(K):
         return diagnostics.check_noncriticality(p, z)
-    J = data.jac_f
-    Hc = K.curvature_matrix()
-    Q = data.hess_xx + J.T @ Hc @ J
-    Q = 0.5 * (Q + Q.T)
+    J, Hc, Q = _stability_data(data, K)
     try:
         witness = noncrit_face_search(p, data, K, Q, J, Hc)
     except BudgetExceeded as exc:

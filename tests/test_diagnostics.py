@@ -205,14 +205,21 @@ def _rotated_quadratic(R, d):
 
 
 class TestFaceWalk:
-    """The screened face search against the unscreened reference, and the
-    work the shared walk saves."""
+    """The one-pass face walk and the screened face search against the
+    lazy-walk SSOC and the unscreened search, and the work the walk saves."""
 
     @staticmethod
     def assert_matches_reference(p, z):
+        ref_ssoc = face_search_reference.ssoc_exact(p, z)
         ref = face_search_reference.check_noncriticality(p, z)
-        for got in (check_noncriticality(p, z, CFG),
-                    classify_stationary_point(p, z, CFG).noncriticality):
+        report = classify_stationary_point(p, z, CFG)
+        for got in (check_ssoc(p, z, CFG), report.ssoc):
+            assert (got.min_value, got.conclusive) == (ref_ssoc.min_value, ref_ssoc.conclusive)
+            if ref_ssoc.witness is None:
+                assert got.witness is None
+            else:
+                assert got.witness.tobytes() == ref_ssoc.witness.tobytes()
+        for got in (check_noncriticality(p, z, CFG), report.noncriticality):
             assert (got.noncritical, got.conclusive, got.reason) == (
                 ref.noncritical, ref.conclusive, ref.reason)
             if ref.witness is None:
@@ -272,8 +279,13 @@ class TestFaceWalk:
         counted(polyhedra.Polyhedron, "build")
         counted(polyhedra, "_reduce_equalities")
         counted(polyhedra, "null_basis")
+        counted(np.linalg, "eigh")
         assert check_noncriticality(p, z, CFG).noncritical
-        assert calls == Counter(null_basis=2**8)  # one per face, and no polyhedron
+        # one basis and one eigh per face, and no polyhedron
+        assert calls == Counter(null_basis=2**8, eigh=2**8)
+        calls.clear()
+        check_ssoc(p, z, CFG)
+        assert calls == Counter(null_basis=2**8, eigh=2**8)
         calls.clear()
         data, K = diagnostics._gate(p, z)
         assert diagnostics._srcq_primal(p, K, data.jac_f) is True
@@ -284,6 +296,11 @@ class TestFaceWalk:
         calls.clear()
         classify_stationary_point(p, z, CFG)
         assert calls["null_basis"] == 2**8 + outside_walk
+        assert calls["eigh"] == 2**8  # one walk for SSOC and noncriticality
+        # what the walk keeps for the screen: no basis and no eigenvectors
+        faces = diagnostics._curvature(p, data, K)[5][1]
+        assert len(faces) == 2**8
+        assert not any(isinstance(x, np.ndarray) and x.ndim >= 2 for face in faces for x in face)
 
 
 class TestSRCQ:
