@@ -36,7 +36,7 @@ from . import problem as problem_mod
 from .cones import CriticalCone
 from .polyhedra import BudgetExceeded, Polyhedron
 from .problem import KKTPair, LagrangianData, MultiplierSetAnalysis, ProblemSpec
-from .subproblem import damped_newton
+from .subproblem import damped_newton, row_norms
 
 CALM = "Calm"
 INCONCLUSIVE = "Inconclusive"
@@ -165,10 +165,10 @@ def check_ssoc(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     """
     cfg = cfg or DiagnosticsConfig()
     data, K = _gate(p, z)
-    return _ssoc(p, K, _curvature(p, data, K), cfg)
+    return _ssoc(p, K, _curvature(p, data, K, keep_faces=False), cfg)
 
 
-def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone):
+def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone, keep_faces=True):
     """``(J, Hc, Q, E J, G J, walk)``: the constraint Jacobian, the cone's
     curvature matrix, the symmetric matrix ``Q`` of the stability quadratic,
     the critical cone's rows pulled back to directions, and ``_face_walk``
@@ -181,21 +181,21 @@ def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone):
     GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
     walk = None
     if K.is_polyhedral and GJ.shape[0] <= _FACE_BUDGET:
-        walk = _face_walk(Q, EJ, GJ, p.n)
+        walk = _face_walk(Q, EJ, GJ, p.n, keep_faces)
     return J, Hc, Q, EJ, GJ, walk
 
 
-def _face_walk(Q, EJ, GJ, n):
+def _face_walk(Q, EJ, GJ, n, keep_faces):
     """One pass over the faces S in ``(r, combinations)`` order: ``B_S`` is an
     orthonormal basis of ``{w : E J w = 0, G_S J w = 0}`` with the rank margin
     of ``polyhedra.null_basis``, and the eigenpairs of ``R_S = B_S' Q B_S``
     give the SSOC minimum.  Returns that ``SSOCResult`` and, for the
-    noncriticality screen, ``(S, eigenvalues of R_S, margin)`` per face; no
-    basis or eigenvector outlives its face."""
+    noncriticality screen, ``(S, eigenvalues of R_S, margin)`` per face when
+    ``keep_faces`` (else None); no basis or eigenvector outlives its face."""
     q = GJ.shape[0]
     best = math.inf
     witness = None
-    faces = []
+    faces = [] if keep_faces else None
     for r in range(q + 1):
         for S in combinations(range(q), r):
             rows = np.vstack([EJ, GJ[list(S)]]) if (EJ.size or S) else np.zeros((0, n))
@@ -212,7 +212,8 @@ def _face_walk(Q, EJ, GJ, n):
                         best = float(theta)
                         witness = cand
                         break
-            faces.append((S, vals, margin))
+            if keep_faces:
+                faces.append((S, vals, margin))
     return SSOCResult(best, witness, conclusive=True), faces
 
 
@@ -569,9 +570,10 @@ def _perturbed_kkt(p: ProblemSpec, x, lam, v, w):
 
 
 def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
+    """The perturbed KKT residual at (x, lam); stacks give it row by row."""
     r1, y = _perturbed_kkt(p, x, lam, v, w)
     r2 = y - cones.project(p.cone, y + lam)
-    return float(np.linalg.norm(r1)) + float(np.linalg.norm(r2)) + cones.distance(p.cone, y)
+    return row_norms(r1) + row_norms(r2) + row_norms(y - cones.project(p.cone, y))
 
 
 def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, active=None, max_iters=60):
@@ -607,55 +609,55 @@ def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, active=None, max_iters=60)
     return x, full(lam), res
 
 
-def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w) -> list[list[KKTPair]]:
+def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
     """Active-pattern Newton solves of the perturbed KKT system (polyhedral),
     for each row of ``(v, w)``; all rows of a pattern run in one lockstep
-    ``damped_newton`` call, from z."""
-    out: list[list[KKTPair]] = [[] for _ in v]
-    patterns = cones.active_patterns(p.cone) if cones.patterns_within_budget(p.cone) else ()
+    ``damped_newton`` call, from z.  Returns ``(sols, ok)``: ``sols[i, k]``
+    ``(x, lam)`` of row i and pattern k, a solution where ``ok[i, k]``."""
+    patterns = list(cones.active_patterns(p.cone)) if cones.patterns_within_budget(p.cone) else []
+    sols = np.zeros((len(v), len(patterns), p.n + p.m))
+    ok = np.zeros(sols.shape[:2], bool)
     x0 = np.repeat(z.x[None], len(v), axis=0)
-    for active, orth_active, inactive in patterns:
+    for k, (active, orth_active, inactive) in enumerate(patterns):
         lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
         x, lam, res = _newton_perturbed(p, x0, lam0, v, w, active)
-        for i in np.flatnonzero(res <= 1e-12):
-            f_val, _ = problem_mod.constraint_values(p, x[i])
-            slack = 1e-9 * (1.0 + float(np.linalg.norm(lam[i])))
-            if not cones.pattern_signs_ok(lam[i], f_val + w[i], orth_active, inactive, slack):
-                continue
-            if _perturbed_residual(p, x[i], lam[i], v[i], w[i]) <= 1e-8:
-                out[i].append(KKTPair(x[i], lam[i]))
-    return out
+        i = np.flatnonzero(res <= 1e-12)
+        y = problem_mod.constraint_values(p, x[i])[0] + w[i]
+        slack = 1e-9 * (1.0 + row_norms(lam[i]))[:, None]  # the signs of cones.pattern_signs_ok
+        i = i[~np.any(lam[i][:, orth_active] > slack, axis=1)
+              & ~np.any(y[:, inactive] < -slack, axis=1)]
+        i = i[_perturbed_residual(p, x[i], lam[i], v[i], w[i]) <= 1e-8]
+        sols[i, k], ok[i, k] = np.concatenate([x[i], lam[i]], axis=1), True
+    return sols, ok
 
 
-def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, seeds) -> list[list[KKTPair]]:
+def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, seeds):
     """All perturbed-KKT solutions found near z, for each row of ``(v, w)``:
     pattern enumeration (polyhedral cones) and five Newton starts, which row
     ``i`` draws from ``default_rng(seeds[i])``.  The starts of every row run
-    in one lockstep ``damped_newton`` call."""
-    x0, lam0 = [], []
-    for vi, wi, seed in zip(v, w, seeds):
-        rng = np.random.default_rng(seed)
-        r = float(np.linalg.norm(np.concatenate([vi, wi])))
-        for spread in (0.0, r, math.sqrt(max(r, 0.0)), 0.1, 0.45):
-            xs = z.x + spread * rng.normal(size=p.n)
-            ls = z.lam + spread * rng.normal(size=p.m)
-            x0.append(z.x if spread == 0.0 else xs)
-            lam0.append(z.lam if spread == 0.0 else ls)
-    starts = len(x0) // len(v)
-    x, lam, res = _newton_perturbed(p, np.array(x0), np.array(lam0),
-                                    np.repeat(v, starts, axis=0), np.repeat(w, starts, axis=0))
-    out = []
-    for i, sols in enumerate(_pattern_solutions(p, z, v, w)):
-        # res bounds both residual parts, and dist(y) <= ||r2|| because
-        # proj(y + lam) lies in the cone: _perturbed_residual is at most 3 res
-        sols += [KKTPair(x[b], lam[b])
-                 for b in range(starts * i, starts * (i + 1)) if res[b] <= 1e-9]
-        unique: list[KKTPair] = []
-        for s in sols:
-            if all(s.distance_to(t) > 1e-9 for t in unique):
-                unique.append(s)
-        out.append(unique)
-    return out
+    in one lockstep ``damped_newton`` call.  Returns ``(sols, kept)`` as
+    ``_pattern_solutions`` does, with the five starts after the patterns and
+    ``kept`` each row's greedy dedupe in that order."""
+    zv = np.concatenate([z.x, z.lam])
+    r = row_norms(np.concatenate([v, w], axis=1))
+    spread = np.stack(np.broadcast_arrays(0.0, r, np.sqrt(r), 0.1, 0.45), axis=1)
+    noise = [np.random.default_rng(seed).normal(size=5 * len(zv)) for seed in seeds]
+    starts = zv + spread[:, :, None] * np.reshape(noise, (len(v), 5, len(zv)))
+    starts[:, 0] = zv
+    starts = starts.reshape(-1, len(zv))
+    x, lam, res = _newton_perturbed(p, starts[:, : p.n], starts[:, p.n :],
+                                    np.repeat(v, 5, axis=0), np.repeat(w, 5, axis=0))
+    pat, ok = _pattern_solutions(p, z, v, w)
+    # res bounds both residual parts, and dist(y) <= ||r2|| because
+    # proj(y + lam) lies in the cone: _perturbed_residual is at most 3 res
+    conv = (res <= 1e-9).reshape(len(v), 5)
+    found = np.concatenate([x, lam], axis=1).reshape(len(v), 5, -1)
+    sols = np.concatenate([pat, np.where(conv[:, :, None], found, 0.0)], axis=1)
+    kept = np.concatenate([ok, conv], axis=1)
+    for k in range(1, sols.shape[1]):
+        near = row_norms(sols[:, :k] - sols[:, k : k + 1]) <= 1e-9
+        kept[:, k] &= ~np.any(kept[:, :k] & near, axis=1)
+    return sols, kept
 
 
 def probe_isolated_calmness(
@@ -667,7 +669,8 @@ def probe_isolated_calmness(
     A profile that stays bounded as the radius shrinks is empirical
     evidence of isolated calmness of the perturbed solution map; a growing
     profile is evidence of its failure.  Corroborating evidence only: the
-    decision-grade tests are the second-order checks.
+    decision-grade tests are the second-order checks.  Every radius and
+    direction is one row of a single ``_solve_perturbed`` call.
     """
     cfg = cfg or DiagnosticsConfig()
     _gate(p, z)
@@ -677,19 +680,17 @@ def probe_isolated_calmness(
     for _ in range(cfg.probe_samples):
         d = rng.normal(size=dim)
         dirs.append(d / float(np.linalg.norm(d)))
-    dirs = np.array(dirs)
-
-    samples = []
-    for ri, radius in enumerate(PROBE_RADII):
-        best, found = 0.0, 0
-        seeds = [cfg.seed + 1000 * ri + si for si in range(len(dirs))]
-        solved = _solve_perturbed(p, z, radius * dirs[:, : p.n], radius * dirs[:, p.n :], seeds)
-        for s in (s for sols in solved for s in sols):
-            dist = s.distance_to(z)
-            if dist <= _PROBE_BALL:
-                found += 1
-                best = max(best, dist / radius)
-        samples.append(RadiusSample(radius, best, found, len(dirs)))
+    radii = np.repeat(PROBE_RADII, len(dirs))[:, None]
+    pert = radii * np.tile(dirs, (len(PROBE_RADII), 1))
+    seeds = [cfg.seed + 1000 * ri + si for ri in range(len(PROBE_RADII)) for si in range(len(dirs))]
+    sols, kept = _solve_perturbed(p, z, pert[:, : p.n], pert[:, p.n :], seeds)
+    dist = row_norms(sols - np.concatenate([z.x, z.lam]))
+    near = kept & (dist <= _PROBE_BALL)
+    shape = (len(PROBE_RADII), -1)
+    best = np.where(near, dist / radii, 0.0).reshape(shape).max(axis=1)
+    found = near.reshape(shape).sum(axis=1)
+    samples = [RadiusSample(r, float(b), int(f), len(dirs))
+               for r, b, f in zip(PROBE_RADII, best, found)]
     profile, growth = _classify_profile(samples)
     return ProbeResult(tuple(samples), profile, growth)
 

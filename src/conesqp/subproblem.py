@@ -202,7 +202,7 @@ def _dedupe(points, tol):
 # Semismooth Newton engine
 
 
-def _row_norms(F: np.ndarray) -> np.ndarray:
+def row_norms(F: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of ``F``, bit for bit: its ``sqrt(f . f)``
     as a batched product (``norm(axis=-1)`` and ``einsum`` sum in another order)."""
     return np.sqrt(F[..., None, :] @ F[..., :, None])[..., 0, 0]
@@ -249,13 +249,13 @@ def _halved_steps(residual, x, lam, step, nrm, rows):
         with np.errstate(all="ignore"):  # points a row alone may never reach
             F = residual(X.reshape(R * (K - 1), n), LAM.reshape(R * (K - 1), -1),
                          np.repeat(rows, K - 1))
-            passed = _row_norms(F).reshape(R, K - 1) < bounds
+            passed = row_norms(F).reshape(R, K - 1) < bounds
     except EvalError:
         F_first = np.empty((R, step.shape[1]))
         for r in range(R):
             for k in range(1, K):
                 f = residual(X[r, k - 1][None], LAM[r, k - 1][None], rows[r : r + 1])
-                if _row_norms(f)[0] < bounds[r, k - 1]:
+                if row_norms(f)[0] < bounds[r, k - 1]:
                     first[r], F_first[r] = k, f[0]
                     break
         return first, F_first
@@ -287,7 +287,7 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
     X, LAM = x0.copy(), lam0.copy()
     rows = np.arange(len(X))
     F = residual(X, LAM, rows)
-    RES = _row_norms(F)
+    RES = row_norms(F)
     x, lam, nrm = X, LAM, RES  # the live rows
     live = ~(nrm <= tol)
     eye = np.eye(m)
@@ -313,7 +313,7 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
                 return X, LAM, RES
         x_new, lam_new = x + step[:, :n], lam + step[:, n:]
         F_new = residual(x_new, lam_new, rows)
-        nrm_new = _row_norms(F_new)
+        nrm_new = row_norms(F_new)
         live = nrm_new < (1.0 - 1e-4) * nrm
         if np.count_nonzero(live) < len(rows):
             short = np.flatnonzero(~live)
@@ -324,7 +324,7 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
             alpha = _ARMIJO_STEPS[first[ok], None]
             x_new[short] = x[short] + alpha * step[short, :n]
             lam_new[short] = lam[short] + alpha * step[short, n:]
-            F_new[short], nrm_new[short] = F_short[ok], _row_norms(F_short[ok])
+            F_new[short], nrm_new[short] = F_short[ok], row_norms(F_short[ok])
             live[short] = True
             # a stalled row keeps its point and norm
             x_new[stalled], lam_new[stalled], nrm_new[stalled] = x[stalled], lam[stalled], nrm[stalled]

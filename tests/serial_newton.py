@@ -8,7 +8,13 @@ Jacobian built block by block.  A lockstep row must give exactly its bits.
 ``pattern_solutions`` is the probe's active-pattern solve as it ran before
 it went through the kernel: one direction at a time, by the undamped
 ``pattern_newton``.
+
+``probe_by_radius`` is the whole calmness probe as it ran before all radii
+went into one stack: one lockstep stack per radius for the starts and one
+per radius and pattern, ``KKTPair`` lists and a dedupe one row at a time.
 """
+
+import math
 
 import numpy as np
 
@@ -145,3 +151,79 @@ def pattern_newton(p, z, v, w, active, max_iters=60):
     lam_full = np.zeros(p.m)
     lam_full[active] = lam_a
     return x, lam_full
+
+
+def probe_by_radius(p, z, cfg):
+    """The calmness probe one radius at a time: a ``damped_newton`` stack per
+    radius for the starts and one per radius and active pattern, with a list
+    of ``KKTPair`` solutions and a greedy dedupe per direction."""
+    diagnostics._gate(p, z)
+    dim = p.n + p.m
+    rng = np.random.default_rng(cfg.seed + 3)
+    dirs = [e * s for e in np.eye(dim) for s in (1.0, -1.0)]
+    for _ in range(cfg.probe_samples):
+        d = rng.normal(size=dim)
+        dirs.append(d / float(np.linalg.norm(d)))
+    dirs = np.array(dirs)
+
+    samples = []
+    for ri, radius in enumerate(diagnostics.PROBE_RADII):
+        best, found = 0.0, 0
+        seeds = [cfg.seed + 1000 * ri + si for si in range(len(dirs))]
+        solved = solve_perturbed(p, z, radius * dirs[:, : p.n], radius * dirs[:, p.n :], seeds)
+        for s in (s for sols in solved for s in sols):
+            dist = s.distance_to(z)
+            if dist <= diagnostics._PROBE_BALL:
+                found += 1
+                best = max(best, dist / radius)
+        samples.append(diagnostics.RadiusSample(radius, best, found, len(dirs)))
+    profile, growth = diagnostics._classify_profile(samples)
+    return diagnostics.ProbeResult(tuple(samples), profile, growth)
+
+
+def solve_perturbed(p, z, v, w, seeds):
+    """The perturbed-KKT solutions of each row of ``(v, w)``: pattern solves,
+    then five Newton starts drawn from ``default_rng(seeds[i])``, deduped."""
+    x0, lam0 = [], []
+    for vi, wi, seed in zip(v, w, seeds):
+        rng = np.random.default_rng(seed)
+        r = float(np.linalg.norm(np.concatenate([vi, wi])))
+        for spread in (0.0, r, math.sqrt(max(r, 0.0)), 0.1, 0.45):
+            xs = z.x + spread * rng.normal(size=p.n)
+            ls = z.lam + spread * rng.normal(size=p.m)
+            x0.append(z.x if spread == 0.0 else xs)
+            lam0.append(z.lam if spread == 0.0 else ls)
+    starts = len(x0) // len(v)
+    x, lam, res = diagnostics._newton_perturbed(p, np.array(x0), np.array(lam0),
+                                                np.repeat(v, starts, axis=0),
+                                                np.repeat(w, starts, axis=0))
+    out = []
+    for i, sols in enumerate(stacked_pattern_solutions(p, z, v, w)):
+        sols += [KKTPair(x[b], lam[b])
+                 for b in range(starts * i, starts * (i + 1)) if res[b] <= 1e-9]
+        unique = []
+        for s in sols:
+            if all(s.distance_to(t) > 1e-9 for t in unique):
+                unique.append(s)
+        out.append(unique)
+    return out
+
+
+def stacked_pattern_solutions(p, z, v, w):
+    """The probe's pattern solutions of each row of ``(v, w)``, as ``KKTPair``
+    lists: one lockstep ``damped_newton`` stack per pattern, then each row's
+    sign and residual tests one at a time."""
+    out = [[] for _ in v]
+    patterns = cones.active_patterns(p.cone) if cones.patterns_within_budget(p.cone) else ()
+    x0 = np.repeat(z.x[None], len(v), axis=0)
+    for active, orth_active, inactive in patterns:
+        lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
+        x, lam, res = diagnostics._newton_perturbed(p, x0, lam0, v, w, active)
+        for i in np.flatnonzero(res <= 1e-12):
+            f_val, _ = problem.constraint_values(p, x[i])
+            slack = 1e-9 * (1.0 + float(np.linalg.norm(lam[i])))
+            if not cones.pattern_signs_ok(lam[i], f_val + w[i], orth_active, inactive, slack):
+                continue
+            if diagnostics._perturbed_residual(p, x[i], lam[i], v[i], w[i]) <= 1e-8:
+                out[i].append(KKTPair(x[i], lam[i]))
+    return out

@@ -301,6 +301,7 @@ class TestFaceWalk:
         faces = diagnostics._curvature(p, data, K)[5][1]
         assert len(faces) == 2**8
         assert not any(isinstance(x, np.ndarray) and x.ndim >= 2 for face in faces for x in face)
+        assert diagnostics._curvature(p, data, K, keep_faces=False)[5][1] is None  # check_ssoc's
 
 
 class TestSRCQ:
@@ -406,12 +407,31 @@ class TestProbe:
             for radius in (1e-2, 1e-6):
                 d = np.vstack([np.eye(p.n + p.m), -np.eye(p.n + p.m)])
                 v, w = radius * d[:, : p.n], radius * d[:, p.n :]
-                solved = diagnostics._solve_perturbed(p, z, v, w, seeds=[0] * len(d))
-                for vi, wi, sols in zip(v, w, solved, strict=True):
-                    for s in sols:
-                        assert diagnostics._perturbed_residual(p, s.x, s.lam, vi, wi) <= 1e-8, name
-                        found += 1
+                sols, kept = diagnostics._solve_perturbed(p, z, v, w, seeds=[0] * len(d))
+                assert sols.shape == (len(d), kept.shape[1], p.n + p.m) and kept.shape[0] == len(d)
+                for i, k in zip(*np.nonzero(kept)):
+                    s = sols[i, k]
+                    res = diagnostics._perturbed_residual(p, s[: p.n], s[p.n :], v[i], w[i])
+                    assert res <= 1e-8, name
+                    found += 1
             assert found > 0, name
+
+    @staticmethod
+    def bits(pr):
+        return ([(s.max_ratio.hex(), s.n_solved, s.n_samples) for s in pr.samples],
+                pr.profile, pr.growth.hex())
+
+    def test_probe_matches_the_per_radius_reference(self, reg, rng):
+        # every radius in one stack, with starts, filters and dedupe on arrays,
+        # against one stack per radius with KKTPair lists and a dedupe per row
+        points = [(entry.problem, kp.point) for entry in reg.values() for kp in entry.known_points]
+        points += [_zero_orthant_problem(rng) for _ in range(5)]
+        for samples in (0, 3):
+            cfg = DiagnosticsConfig(seed=5, probe_samples=samples)
+            for p, z in points:
+                ref = serial_newton.probe_by_radius(p, z, cfg)
+                probe = probe_isolated_calmness(p, z, cfg)
+                assert self.bits(probe) == self.bits(ref), (p.name, samples)
 
 
 def _mixed_problem(rng):
@@ -561,10 +581,10 @@ class TestLockstepNewton:
         with pytest.raises(expr.EvalError):
             diagnostics._newton_perturbed(p, X0, Z, Z, Z)
 
-    def test_probe_linearizes_once_per_radius_and_iteration(self, reg, monkeypatch):
+    def test_probe_linearizes_once_per_iteration(self, reg, monkeypatch):
         # critical_toy with lam = 0: 8,611 single linearizations when every
-        # start ran alone; one stacked call per radius and Newton iteration
-        # now, for the starts and for each active pattern (here the one row)
+        # start ran alone; one stacked call per Newton iteration now, for the
+        # starts of every radius and for each active pattern (here the one row)
         p, z = reg["critical_toy"].problem, KKTPair([0.0], [0.0])
         stacks = {}
 
@@ -583,9 +603,31 @@ class TestLockstepNewton:
         directions = 2 * (p.n + p.m) + DiagnosticsConfig().probe_samples
         assert stacks.keys() == {"starts", cones.zero(1)}
         for sizes in stacks.values():
-            assert len(sizes) <= len(diagnostics.PROBE_RADII) * 60
-        assert stacks["starts"][0] == 5 * directions
-        assert stacks[cones.zero(1)][0] == directions
+            assert len(sizes) <= 60
+        rows = len(diagnostics.PROBE_RADII) * directions
+        assert stacks["starts"][0] == 5 * rows
+        assert stacks[cones.zero(1)][0] == rows
+
+    def test_probe_makes_one_newton_call_per_stack(self, reg, monkeypatch):
+        # one damped_newton call for the starts of every radius and direction,
+        # then one per active pattern for every radius and direction
+        calls = []
+
+        def counted(cone, residual, linearize, x0, *args, lstsq):
+            calls.append(len(x0))
+            return subproblem.damped_newton(cone, residual, linearize, x0, *args, lstsq=lstsq)
+
+        monkeypatch.setattr(diagnostics, "damped_newton", counted)
+        for entry in reg.values():
+            p = entry.problem
+            searched = cones.patterns_within_budget(p.cone)
+            patterns = len(list(cones.active_patterns(p.cone))) if searched else 0
+            directions = 2 * (p.n + p.m) + DiagnosticsConfig().probe_samples
+            rows = len(diagnostics.PROBE_RADII) * directions
+            for kp in entry.known_points:
+                calls.clear()
+                probe_isolated_calmness(p, kp.point)
+                assert calls == [5 * rows] + [rows] * patterns, (p.name, kp.point)
 
     @staticmethod
     def assert_patterns_match_reference(p, z, ball=math.inf):
@@ -598,16 +640,18 @@ class TestLockstepNewton:
         for _ in range(DiagnosticsConfig().probe_samples):
             d = rng.normal(size=dim)
             dirs.append(d / float(np.linalg.norm(d)))
-        dirs = np.array(dirs)
+        radii = np.repeat(diagnostics.PROBE_RADII, len(dirs))
+        pert = radii[:, None] * np.tile(dirs, (len(diagnostics.PROBE_RADII), 1))
+        v, w = pert[:, : p.n], pert[:, p.n :]
         found = 0
-        for radius in diagnostics.PROBE_RADII:
-            v, w = radius * dirs[:, : p.n], radius * dirs[:, p.n :]
-            for i, sols in enumerate(diagnostics._pattern_solutions(p, z, v, w)):
-                ref = serial_newton.pattern_solutions(p, z, v[i], w[i])
-                sols, ref = ([s for s in ss if s.distance_to(z) <= ball] for ss in (sols, ref))
-                assert len(sols) == len(ref), (p.name, radius, i)
-                assert all(s.distance_to(t) <= 1e-12 for s, t in zip(sols, ref)), (p.name, radius, i)
-                found += len(sols)
+        stacked, ok = diagnostics._pattern_solutions(p, z, v, w)  # every radius in one stack
+        for i, radius in enumerate(radii):
+            sols = [KKTPair(s[: p.n], s[p.n :]) for s in stacked[i][ok[i]]]
+            ref = serial_newton.pattern_solutions(p, z, v[i], w[i])
+            sols, ref = ([s for s in ss if s.distance_to(z) <= ball] for ss in (sols, ref))
+            assert len(sols) == len(ref), (p.name, radius, i)
+            assert all(s.distance_to(t) <= 1e-12 for s, t in zip(sols, ref)), (p.name, radius, i)
+            found += len(sols)
         return found
 
     def test_pattern_solutions_match_the_serial_reference_at_registry_points(self, reg):
