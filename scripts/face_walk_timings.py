@@ -6,7 +6,9 @@ leaves out: for each m, one noncritical and one critical case of
 ``0.5 x'R diag(d) R'x`` subject to ``R'x >= 0``, classified at the origin
 with ``lam = 0``.  Each line gives the best of ``REPEATS`` wall times of
 ``classify_stationary_point`` without the probe and of ``check_ssoc`` alone,
-run in alternation, the peak RSS of each call, and the verdicts::
+run in alternation, the peak RSS of each call, how many of the walk's faces
+the noncriticality screen leaves to Fourier-Motzkin (``fm_faces``, out of
+2^q), and the verdicts::
 
     python scripts/face_walk_timings.py [M ...]      (default: 10 12 14)
 
@@ -91,6 +93,8 @@ def main(argv=None) -> int:
     for m in sizes:
         for index, (noncritical, p, z) in enumerate(_cases(m)):
             rep = diagnostics.classify_stationary_point(p, z, CFG)
+            data, K = diagnostics._gate(p, z)
+            fm_faces = len(diagnostics._curvature(p, data, K)[5][1])
             t_classify, t_ssoc = _best_of_alternating(
                 lambda: diagnostics.classify_stationary_point(p, z, CFG),
                 lambda: diagnostics.check_ssoc(p, z, CFG))
@@ -99,7 +103,8 @@ def main(argv=None) -> int:
             kind = "noncritical" if noncritical else "critical"
             print(f"m={m:2d} {kind:11s} classify {t_classify:7.3f} s {rss_classify:6.1f} MB"
                   f"  check_ssoc {t_ssoc:7.3f} s {rss_ssoc:6.1f} MB"
-                  f"  ratio {t_classify / t_ssoc:5.2f}  noncritical={rep.noncriticality.noncritical}"
+                  f"  ratio {t_classify / t_ssoc:5.2f}  fm_faces {fm_faces}/{2 ** K.ineq.shape[0]}"
+                  f"  noncritical={rep.noncriticality.noncritical}"
                   f" ssoc_min={rep.ssoc.min_value:.3g}", flush=True)
     return 0
 

@@ -165,10 +165,10 @@ def check_ssoc(p: ProblemSpec, z: KKTPair, cfg: DiagnosticsConfig | None = None)
     """
     cfg = cfg or DiagnosticsConfig()
     data, K = _gate(p, z)
-    return _ssoc(p, K, _curvature(p, data, K, keep_faces=False), cfg)
+    return _ssoc(p, K, _curvature(p, data, K), cfg)
 
 
-def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone, keep_faces=True):
+def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone):
     """``(J, Hc, Q, E J, G J, walk)``: the constraint Jacobian, the cone's
     curvature matrix, the symmetric matrix ``Q`` of the stability quadratic,
     the critical cone's rows pulled back to directions, and ``_face_walk``
@@ -181,21 +181,24 @@ def _curvature(p: ProblemSpec, data: LagrangianData, K: CriticalCone, keep_faces
     GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
     walk = None
     if K.is_polyhedral and GJ.shape[0] <= _FACE_BUDGET:
-        walk = _face_walk(Q, EJ, GJ, p.n, keep_faces)
+        walk = _face_walk(Q, EJ, GJ, p.n)
     return J, Hc, Q, EJ, GJ, walk
 
 
-def _face_walk(Q, EJ, GJ, n, keep_faces):
+def _face_walk(Q, EJ, GJ, n):
     """One pass over the faces S in ``(r, combinations)`` order: ``B_S`` is an
     orthonormal basis of ``{w : E J w = 0, G_S J w = 0}`` with the rank margin
     of ``polyhedra.null_basis``, and the eigenpairs of ``R_S = B_S' Q B_S``
-    give the SSOC minimum.  Returns that ``SSOCResult`` and, for the
-    noncriticality screen, ``(S, eigenvalues of R_S, margin)`` per face when
-    ``keep_faces`` (else None); no basis or eigenvector outlives its face."""
+    give the SSOC minimum.  Returns that ``SSOCResult`` and, in walk order,
+    the S that the noncriticality screen cannot clear: on ``w = B_S t`` the
+    pattern's stationarity row reads ``R_S t = 0``, so a face whose rank
+    margin and every ``|eig R_S|`` clear ``_SCREEN`` has only w = 0.  No basis
+    or eigenvector outlives its face."""
     q = GJ.shape[0]
     best = math.inf
     witness = None
-    faces = [] if keep_faces else None
+    searched = []
+    screen = _SCREEN * (1.0 + float(np.max(np.abs(Q))))
     for r in range(q + 1):
         for S in combinations(range(q), r):
             rows = np.vstack([EJ, GJ[list(S)]]) if (EJ.size or S) else np.zeros((0, n))
@@ -212,9 +215,9 @@ def _face_walk(Q, EJ, GJ, n, keep_faces):
                         best = float(theta)
                         witness = cand
                         break
-            if keep_faces:
-                faces.append((S, vals, margin))
-    return SSOCResult(best, witness, conclusive=True), faces
+            if not (margin > _SCREEN and all(abs(t) > screen for t in vals.tolist())):
+                searched.append(S)
+    return SSOCResult(best, witness, conclusive=True), searched
 
 
 def _ssoc(p: ProblemSpec, K: CriticalCone, curv, cfg: DiagnosticsConfig) -> SSOCResult:
@@ -295,18 +298,13 @@ def _noncrit_face_search(p, data, K: CriticalCone, Q, J, Hc, faces):
     Variables (w, a, b): ``Q w + J^T (E^T a + G_S^T b) = 0`` with the
     pattern rows of G tight on ``J w``, the rest slack, and ``b >= 0``.
     Solutions form a cone, so a nonzero direction exists iff some
-    coordinate of ``w`` admits a nonzero value.  Projected by ``B_S'``,
-    the first block row reads ``R_S t = 0`` for ``w = B_S t``, so the screen
-    skips a face whose rank margin and every ``|eig R_S|`` clear ``_SCREEN``:
-    it has only w = 0.  A face near either edge is searched as above.
+    coordinate of ``w`` admits a nonzero value.  ``faces`` are the S that
+    ``_face_walk``'s screen could not clear, in walk order.
     """
     n, m = p.n, p.m
     E, G = K.eq, K.ineq
     q = G.shape[0]
-    screen = _SCREEN * (1.0 + float(np.max(np.abs(Q))))
-    for S, vals, margin in faces:
-        if margin > _SCREEN and np.all(np.abs(vals) > screen):
-            continue
+    for S in faces:
         S = list(S)
         notS = [i for i in range(q) if i not in S]
         p_eq = E.shape[0]

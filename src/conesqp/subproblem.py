@@ -383,23 +383,24 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
     n, m = data.n, data.m
     rng = np.random.default_rng(seed)
     hint_d, hint_lam = hint
-    starts = [(hint_d.copy(), hint_lam.copy()), (np.zeros(n), np.zeros(m))]
     scale = data.scale
-    while len(starts) < _N_STARTS:
-        spread = scale * 10 ** rng.uniform(-1.0, 1.0)
-        starts.append(
-            (hint_d + spread * rng.normal(size=n), hint_lam + spread * rng.normal(size=m))
-        )
+
+    def starts():  # each drawn when it is tried, so an early stop draws no more
+        yield hint_d, hint_lam
+        yield np.zeros(n), np.zeros(m)
+        for _ in range(_N_STARTS - 2):
+            spread = scale * 10 ** rng.uniform(-1.0, 1.0)
+            yield hint_d + spread * rng.normal(size=n), hint_lam + spread * rng.normal(size=m)
+
     tol = _TOL * scale
-    strictly_convex = _positive_definite(data.H)
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
-    for d0, lam0 in starts:
+    for d0, lam0 in starts():
         d, lam, res = _newton_from(data, d0, lam0, _NEWTON_MAX_ITERS)
         if res <= tol:
             solutions.append((d, lam))
             if np.linalg.norm(np.concatenate([d - hint_d, lam - hint_lam])) <= tol * 10:
                 break  # found the hint-adjacent solution, no need to keep searching
-            if len(solutions) == 1 and strictly_convex and _multiplier_unique(data, d, tol):
+            if len(solutions) == 1 and _positive_definite(data.H) and _multiplier_unique(data, d, tol):
                 break  # the only KKT point: later starts can only find it again
     return _dedupe(solutions, tol=1e-8 * scale)
 

@@ -7,7 +7,9 @@ every pattern S of the critical cone's inequality rows, in
 ``(r, combinations)`` order, without the reduced-Hessian screen.
 ``ssoc_exact`` is the SSOC minimum as it ran on a lazy walk over the faces,
 each face's basis and eigenpairs read once.  The one-pass walk must return
-exactly their verdicts and their witness bits.
+exactly their verdicts and their witness bits.  ``unscreened_faces`` is the
+reduced-Hessian screen as it ran inside the search, over the lazy walk: the
+faces the one-pass walk must hand the search, in order.
 """
 
 import math
@@ -74,6 +76,22 @@ def ssoc_exact(p, z):
     EJ = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
     GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
     return _ssoc_exact(GJ, _faces(Q, EJ, GJ, p.n))
+
+
+def unscreened_faces(p, z):
+    """The S of every face that the noncriticality screen does not skip, in
+    walk order, at a point whose face search is exact."""
+    data, K = diagnostics._gate(p, z)
+    J, _, Q = _stability_data(data, K)
+    EJ = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
+    GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
+    screen = diagnostics._SCREEN * (1.0 + float(np.max(np.abs(Q))))
+    out = []
+    for S, _, vals, _, margin in _faces(Q, EJ, GJ, p.n):
+        if margin > diagnostics._SCREEN and np.all(np.abs(vals) > screen):
+            continue
+        out.append(S)
+    return out
 
 
 def noncrit_face_search(p, data, K, Q, J, Hc):

@@ -12,13 +12,16 @@ it went through the kernel: one direction at a time, by the undamped
 ``probe_by_radius`` is the whole calmness probe as it ran before all radii
 went into one stack: one lockstep stack per radius for the starts and one
 per radius and pattern, ``KKTPair`` lists and a dedupe one row at a time.
+
+``newton_starts`` is the subproblem Newton engine's list of starts as it was
+drawn up front, before each start was drawn when it is tried.
 """
 
 import math
 
 import numpy as np
 
-from conesqp import cones, diagnostics, problem
+from conesqp import cones, diagnostics, problem, subproblem
 from conesqp.problem import KKTPair
 
 ARMIJO_STEPS = tuple(0.5**k for k in range(30))
@@ -227,3 +230,19 @@ def stacked_pattern_solutions(p, z, v, w):
             if diagnostics._perturbed_residual(p, x[i], lam[i], v[i], w[i]) <= 1e-8:
                 out[i].append(KKTPair(x[i], lam[i]))
     return out
+
+
+def newton_starts(data, hint, seed):
+    """All ``_N_STARTS`` starts of ``subproblem.semismooth_newton_solve``, in
+    the order it tries them."""
+    n, m = data.n, data.m
+    rng = np.random.default_rng(seed)
+    hint_d, hint_lam = hint
+    starts = [(hint_d.copy(), hint_lam.copy()), (np.zeros(n), np.zeros(m))]
+    scale = data.scale
+    while len(starts) < subproblem._N_STARTS:
+        spread = scale * 10 ** rng.uniform(-1.0, 1.0)
+        starts.append(
+            (hint_d + spread * rng.normal(size=n), hint_lam + spread * rng.normal(size=m))
+        )
+    return starts

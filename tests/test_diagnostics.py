@@ -297,11 +297,19 @@ class TestFaceWalk:
         classify_stationary_point(p, z, CFG)
         assert calls["null_basis"] == 2**8 + outside_walk
         assert calls["eigh"] == 2**8  # one walk for SSOC and noncriticality
-        # what the walk keeps for the screen: no basis and no eigenvectors
-        faces = diagnostics._curvature(p, data, K)[5][1]
-        assert len(faces) == 2**8
-        assert not any(isinstance(x, np.ndarray) and x.ndim >= 2 for face in faces for x in face)
-        assert diagnostics._curvature(p, data, K, keep_faces=False)[5][1] is None  # check_ssoc's
+        # the screen clears every face here, so the walk hands the search none
+        assert diagnostics._curvature(p, data, K)[5][1] == []
+
+    def test_walk_hands_the_search_the_unscreened_faces(self):
+        cases = [c for c in _degenerate_cases(1) if not c.noncritical and c.doc["n"] == 8]
+        assert cases
+        for case in cases:
+            p = registry.problem_from_dict(case.doc)
+            z = KKTPair(np.zeros(p.n), np.zeros(p.m))
+            data, K = diagnostics._gate(p, z)
+            searched = diagnostics._curvature(p, data, K)[5][1]
+            assert searched == face_search_reference.unscreened_faces(p, z)
+            assert len(searched) == 2**7  # half of the 2^8 faces go to Fourier-Motzkin
 
 
 class TestSRCQ:

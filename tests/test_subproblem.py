@@ -410,6 +410,83 @@ class TestNewtonStoppingRule:
         assert starts[0] == subproblem._N_STARTS
 
 
+class TestNewtonStarts:
+    """The engine draws each start when it tries it: the starts it tries are
+    a prefix of the list it once drew up front, and an early stop leaves the
+    rest undrawn."""
+
+    @staticmethod
+    def tried_starts(monkeypatch):
+        tried = []
+        newton_from = subproblem._newton_from
+
+        def recorded(data, d0, lam0, max_iters):
+            tried.append((d0.copy(), lam0.copy()))
+            return newton_from(data, d0, lam0, max_iters)
+
+        monkeypatch.setattr(subproblem, "_newton_from", recorded)
+        return tried
+
+    @staticmethod
+    def counted_draws(monkeypatch):
+        """The number of draws from each generator made from now on."""
+        draws = []
+        default_rng = np.random.default_rng
+
+        class Counted:
+            def __init__(self, seed=None):
+                self.rng = default_rng(seed)
+                self.index = len(draws)
+                draws.append(0)
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+
+                def draw(*args, **kwargs):
+                    draws[self.index] += 1
+                    return method(*args, **kwargs)
+
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", Counted)
+        return draws
+
+    def assert_prefix_of_reference(self, data, hint, seed, tried):
+        ref = serial_newton.newton_starts(data, hint, seed)
+        assert 0 < len(tried) <= len(ref)
+        for (d0, lam0), (ref_d, ref_lam) in zip(tried, ref):
+            assert d0.tobytes() == ref_d.tobytes() and lam0.tobytes() == ref_lam.tobytes()
+
+    def test_first_start_returns(self, monkeypatch):
+        data = projection_subproblem()
+        hint = (np.array([1.0, 0.5, 1.0]), np.array([-0.5, 0.0, 0.5, 0.5]))
+        tried = self.tried_starts(monkeypatch)
+        sol = solve_subproblem(data, hint, SolverConfig(seed=3, engine=ENGINE_NEWTON))
+        assert sol.status == KKT_POINT and len(tried) == 1
+        self.assert_prefix_of_reference(data, hint, 3, tried)
+
+    def test_no_kkt_point_tries_every_start(self, monkeypatch):
+        # min -d_1 over d_1, d_2, d_1 + d_2 >= 0: unbounded, so no KKT point
+        data = SubproblemData(np.zeros((2, 2)), np.array([-1.0, 0.0]),
+                              np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.zeros(3),
+                              cones.orthant(3))
+        hint = (np.array([0.3, -0.2]), np.array([0.1, 0.4, -0.7]))
+        tried = self.tried_starts(monkeypatch)
+        draws = self.counted_draws(monkeypatch)
+        assert subproblem.semismooth_newton_solve(data, hint, 11) == []
+        assert len(tried) == subproblem._N_STARTS
+        assert draws == [3 * (subproblem._N_STARTS - 2)]  # uniform, normal(n), normal(m)
+        self.assert_prefix_of_reference(data, hint, 11, tried)
+
+    def test_first_start_returning_draws_nothing(self, monkeypatch):
+        data = projection_subproblem()
+        tried = self.tried_starts(monkeypatch)
+        draws = self.counted_draws(monkeypatch)
+        points = subproblem.semismooth_newton_solve(data, (np.zeros(3), np.zeros(4)), 0)
+        assert len(points) == 1 and len(tried) == 1
+        assert draws == [0]
+
+
 def random_newton_instance(rng, second_order: bool):
     """Feasible subproblem over orthant and zero rows, plus a second-order
     block when asked; the Hessian is indefinite in a quarter of the draws and
