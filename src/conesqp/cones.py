@@ -16,6 +16,7 @@ with ``mu = -lam_d >= 0``.  Extended-real results use ``math.inf``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -215,20 +216,23 @@ def patterns_within_budget(cone: ConeSpec) -> bool:
     return cone.is_polyhedral and orthant_dim <= PATTERN_BUDGET
 
 
-def active_patterns(cone: ConeSpec):
-    """Every active set of a polyhedral cone, as ``(active, orthant_active, inactive)``.
+def active_patterns(cone: ConeSpec, lam: np.ndarray | None = None):
+    """Every active set of a polyhedral cone, as ``(bits, active, orthant_active, inactive)``.
 
-    Zero coordinates are always active; bit k of the pattern number makes
-    the k-th orthant coordinate active.
+    Zero coordinates are always active; bit k of the pattern number ``bits``
+    makes the k-th orthant coordinate active.  The patterns come in the order
+    of their numbers, except that the one making exactly the orthant
+    coordinates with ``lam < 0`` active comes first.
     """
     zero_idx: list[int] = []
     orth_idx: list[int] = []
     for block, sl in cone.slices():
         (zero_idx if block.kind == ZERO else orth_idx).extend(range(sl.start, sl.stop))
-    for bits in range(2 ** len(orth_idx)):
+    first = 0 if lam is None else sum(1 << k for k, j in enumerate(orth_idx) if lam[j] < 0)
+    for bits in itertools.chain([first], (b for b in range(2 ** len(orth_idx)) if b != first)):
         orth_active = [j for k, j in enumerate(orth_idx) if bits >> k & 1]
         active = zero_idx + orth_active
-        yield active, orth_active, [j for j in range(cone.total_dim) if j not in active]
+        yield bits, active, orth_active, [j for j in range(cone.total_dim) if j not in active]
 
 
 def pattern_signs_ok(lam: np.ndarray, y: np.ndarray, orth_active, inactive, slack: float) -> bool:

@@ -616,7 +616,7 @@ def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
     sols = np.zeros((len(v), len(patterns), p.n + p.m))
     ok = np.zeros(sols.shape[:2], bool)
     x0 = np.repeat(z.x[None], len(v), axis=0)
-    for k, (active, orth_active, inactive) in enumerate(patterns):
+    for k, (_, active, orth_active, inactive) in enumerate(patterns):
         lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
         x, lam, res = _newton_perturbed(p, x0, lam0, v, w, active)
         i = np.flatnonzero(res <= 1e-12)

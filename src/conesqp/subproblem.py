@@ -9,19 +9,19 @@ minimizers can fail to exist while KKT points do (and vice versa).  Three
 engines are provided:
 
 * ``enumeration`` -- exhaustive active-pattern solve for purely polyhedral
-  cones at small m; returns ALL KKT points, which also certifies
-  nonexistence when the list is empty.
+  cones at small m; returns ALL KKT points, or the only one, which also
+  certifies nonexistence when the list is empty.  The pattern of the hint
+  multiplier is tried first.
 * ``semismooth_newton`` -- damped Newton on the projection-based residual
-  map, with deterministic multi-start; handles second-order blocks.  The
-  starts stop at the first KKT point found when it is the only one: a
-  positive definite ``H`` (one Cholesky test) makes ``d`` unique, and a
-  normal-cone basis ``B`` at ``c + A d`` with ``A^T B`` of full column rank
-  makes ``lam`` unique.  Every later start could only find that point again,
-  which the deduplication drops, so the answer is unchanged.
+  map, with deterministic multi-start; handles second-order blocks.
 * ``splitting`` -- ADMM on the explicit splitting (direction, cone slack),
   for positive-semidefinite Hessians, polished by a few Newton steps.  One
   factorization makes each iteration an affine map, a projection and a dual
   update; a loose stop tries the polish early, and a tight stop backs it up.
+
+Enumeration and Newton stop at the first KKT point found when
+``_only_kkt_point`` shows it is the only one (``H`` positive definite, the
+multiplier unique): any later pattern or start could only find it again.
 
 Every engine returns a list of KKT points; ``solve_subproblem`` picks the one
 nearest the hint, or classifies an empty list the same way for every engine.
@@ -127,13 +127,15 @@ def kkt_residual(data: SubproblemData, d: np.ndarray, lam: np.ndarray) -> float:
 # Enumeration engine (polyhedral cones)
 
 
-def enumerate_kkt_points(data: SubproblemData):
-    """All KKT points of a purely polyhedral subproblem, by active patterns.
+def enumerate_kkt_points(data: SubproblemData, hint_lam: np.ndarray | None = None):
+    """All KKT points of a purely polyhedral subproblem, or the only one, by active patterns.
 
     For every active/inactive pattern of orthant coordinates the KKT system
     restricted to that pattern is linear; solutions passing the sign checks
-    are collected and deduplicated.  The empty list certifies that the
-    generalized equation has no solution.
+    are collected and deduplicated in pattern-number order.  The empty list
+    certifies that the generalized equation has no solution.  The pattern of
+    ``hint_lam`` (``cones.active_patterns``) goes first, and the first point
+    found ends the search when ``_only_kkt_point`` shows it is the only one.
     """
     if not data.cone.is_polyhedral:
         raise ValueError("enumeration requires a purely polyhedral cone")
@@ -142,8 +144,8 @@ def enumerate_kkt_points(data: SubproblemData):
     n, m = data.n, data.m
     scale = data.scale
     slack = _SIGN_SLACK * scale
-    found: list[tuple[np.ndarray, np.ndarray]] = []
-    for active, orth_active, inactive in cones.active_patterns(data.cone):
+    found: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for bits, active, orth_active, inactive in cones.active_patterns(data.cone, hint_lam):
         na = len(active)
         M = np.zeros((n + na, n + na))
         M[:n, :n] = data.H
@@ -161,9 +163,16 @@ def enumerate_kkt_points(data: SubproblemData):
         d = sol[:n]
         lam = np.zeros(m)
         lam[active] = sol[n:]
-        if cones.pattern_signs_ok(lam, data.c + data.A @ d, orth_active, inactive, slack):
-            found.append((d, lam))
-    return _dedupe(found, tol=1e-9 * scale)
+        if not cones.pattern_signs_ok(lam, data.c + data.A @ d, orth_active, inactive, slack):
+            continue
+        # a full-rank pattern's c + A d lies in the cone within its residual
+        # and slack (< 2 _TOL scale); with H definite, a rank-deficient one
+        # has dependent active rows, so it is left to the full search
+        if not found and rank == n + na and _only_kkt_point(data, d, 2 * _TOL * scale):
+            return [(d, lam)]
+        found.append((bits, d, lam))
+    found.sort(key=lambda point: point[0])
+    return _dedupe([(d, lam) for _, d, lam in found], tol=1e-9 * scale)
 
 
 def _resolve_degenerate_pattern(data, M, sol0, orth_active, inactive, slack):
@@ -190,12 +199,12 @@ def _resolve_degenerate_pattern(data, M, sol0, orth_active, inactive, slack):
 
 
 def _dedupe(points, tol):
-    unique: list[tuple[np.ndarray, np.ndarray]] = []
-    for d, lam in points:
-        vec = np.concatenate([d, lam])
-        if all(np.linalg.norm(vec - np.concatenate([d2, l2])) > tol for d2, l2 in unique):
-            unique.append((d, lam))
-    return unique
+    kept: list[tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]] = []  # (d ++ lam, point)
+    for point in points:
+        vec = np.concatenate(point)
+        if all(np.linalg.norm(vec - v) > tol for v, _ in kept):
+            kept.append((vec, point))
+    return [point for _, point in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +360,21 @@ def _newton_from(data: SubproblemData, d0, lam0, max_iters: int):
     return d[0], lam[0], float(res[0])
 
 
-def _positive_definite(H: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _multiplier_unique(data: SubproblemData, d: np.ndarray, tol: float) -> bool:
-    """At most one multiplier goes with ``d``: the normal cone at ``y = c + A d``
-    is ``{B v : ...}`` (no second-order block at its apex) and ``A^T B`` has
+def _only_kkt_point(data: SubproblemData, d: np.ndarray, tol: float) -> bool:
+    """Whether a KKT point with direction ``d`` is the only one.  A positive
+    definite ``H`` (one Cholesky test) makes ``d`` unique.  At most one
+    multiplier goes with ``d`` when the normal cone at ``y = c + A d`` is
+    ``{B v : ...}`` (no second-order block at its apex) and ``A^T B`` has
     full column rank, so ``g + H d + A^T B v = 0`` fixes ``v``.
 
-    The faces are read at the KKT tolerance ``tol`` with ``lam = 0``: every
-    face active within it adds a column to ``B``, which can only fail the
-    test, and a point that passed the residual test lies in the cone within
-    ``tol``, so the critical cone accepts it."""
+    The faces are read at ``tol`` with ``lam = 0``: every face active within
+    it adds a column to ``B``, which can only fail the test.  ``y`` must lie
+    in the cone within ``tol`` (a point that passed the KKT residual test at
+    ``tol`` does), or ``critical_cone`` raises."""
+    try:
+        np.linalg.cholesky(data.H)
+    except np.linalg.LinAlgError:
+        return False
     y = data.c + data.A @ d
     basis = cones.critical_cone(data.cone, y, np.zeros(data.m), tol).multiplier_basis()
     if basis is None:
@@ -378,8 +385,7 @@ def _multiplier_unique(data: SubproblemData, d: np.ndarray, tol: float) -> bool:
 
 def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
     """Multi-start semismooth Newton; returns all distinct KKT points found,
-    or the first one alone when ``H`` and ``_multiplier_unique`` show it is
-    the only one."""
+    or the first one alone when ``_only_kkt_point`` shows it is the only one."""
     n, m = data.n, data.m
     rng = np.random.default_rng(seed)
     hint_d, hint_lam = hint
@@ -400,7 +406,7 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
             solutions.append((d, lam))
             if np.linalg.norm(np.concatenate([d - hint_d, lam - hint_lam])) <= tol * 10:
                 break  # found the hint-adjacent solution, no need to keep searching
-            if len(solutions) == 1 and _positive_definite(data.H) and _multiplier_unique(data, d, tol):
+            if len(solutions) == 1 and _only_kkt_point(data, d, tol):
                 break  # the only KKT point: later starts can only find it again
     return _dedupe(solutions, tol=1e-8 * scale)
 
@@ -554,7 +560,7 @@ def solve_subproblem(
     if engine is None:
         engine = ENGINE_ENUMERATION if cones.patterns_within_budget(data.cone) else ENGINE_NEWTON
     if engine == ENGINE_ENUMERATION:
-        points = enumerate_kkt_points(data)
+        points = enumerate_kkt_points(data, hint[1])
     elif engine == ENGINE_NEWTON:
         points = semismooth_newton_solve(data, hint, cfg.seed)
     elif engine == ENGINE_SPLITTING:

@@ -106,7 +106,7 @@ def pattern_solutions(p, z, v, w):
     if not cones.patterns_within_budget(p.cone):
         return []
     out = []
-    for active, orth_active, inactive in cones.active_patterns(p.cone):
+    for _, active, orth_active, inactive in cones.active_patterns(p.cone):
         sol = pattern_newton(p, z, v, w, active)
         if sol is None:
             continue
@@ -219,7 +219,7 @@ def stacked_pattern_solutions(p, z, v, w):
     out = [[] for _ in v]
     patterns = cones.active_patterns(p.cone) if cones.patterns_within_budget(p.cone) else ()
     x0 = np.repeat(z.x[None], len(v), axis=0)
-    for active, orth_active, inactive in patterns:
+    for _, active, orth_active, inactive in patterns:
         lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
         x, lam, res = diagnostics._newton_perturbed(p, x0, lam0, v, w, active)
         for i in np.flatnonzero(res <= 1e-12):

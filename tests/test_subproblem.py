@@ -373,14 +373,18 @@ def count_newton_starts(monkeypatch) -> list[int]:
     return count
 
 
-def projection_subproblem(H=None, extra_rows=()):
+def projection_subproblem(H=None, extra_rows=(), soc=True):
     """min 1/2 |d - p|^2 over d in L^3 (p = (2, 1, 1)) and d_2 <= 0, which is
     active with a positive multiplier; the solution (1.5, 0, 1.5) lies on the
-    boundary of L^3.  ``extra_rows`` adds orthant rows ``(a, c)``."""
+    boundary of L^3.  Without ``soc`` the L^3 block goes, and the solution is
+    (2, 0, 1).  ``extra_rows`` adds orthant rows ``(a, c)``."""
     rows = [(np.array([0.0, -1.0, 0.0]), 0.0), *extra_rows]
-    A = np.vstack([np.eye(3)] + [a for a, _ in rows])
-    c = np.concatenate([np.zeros(3), [ci for _, ci in rows]])
-    cone = cones.product(cones.second_order(3), cones.orthant(len(rows)))
+    A = np.vstack([a for a, _ in rows])
+    c = np.array([ci for _, ci in rows])
+    cone = cones.orthant(len(rows))
+    if soc:
+        A, c = np.vstack([np.eye(3), A]), np.concatenate([np.zeros(3), c])
+        cone = cones.product(cones.second_order(3), cone)
     H = np.eye(3) if H is None else H
     return SubproblemData(H, -np.array([2.0, 1.0, 1.0]), A, c, cone)
 
@@ -408,6 +412,56 @@ class TestNewtonStoppingRule:
         sol = solve_subproblem(data, cfg=SolverConfig(engine=ENGINE_NEWTON))
         assert sol.status == KKT_POINT
         assert starts[0] == subproblem._N_STARTS
+
+
+def count_pattern_solves(monkeypatch) -> list[int]:
+    """Count ``np.linalg.lstsq`` calls (one per pattern that enumeration
+    solves) from now on."""
+    count = [0]
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    return count
+
+
+# the L^3-free projection with d_1 <= 5 inactive: the only KKT point is d =
+# (2, 0, 1) with lam = (-1, 0), pattern number 1 of 4
+UNIQUE_POLYHEDRAL = projection_subproblem(extra_rows=[(np.array([-1.0, 0.0, 0.0]), 5.0)], soc=False)
+
+
+class TestEnumerationStoppingRule:
+    @pytest.mark.parametrize("hint_lam,solves", [
+        ([-1.0, 0.0], 1),  # the hint names the point's pattern
+        ([0.0, 0.0], 2),  # pattern 0 fails its sign test, pattern 1 ends the search
+    ])
+    def test_unique_kkt_point_ends_the_search(self, hint_lam, solves, monkeypatch):
+        count = count_pattern_solves(monkeypatch)
+        sol = solve_subproblem(UNIQUE_POLYHEDRAL, (np.zeros(3), np.array(hint_lam)))
+        assert sol.status == KKT_POINT and sol.engine == ENGINE_ENUMERATION
+        assert np.allclose(sol.d, [2.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(sol.lam, [-1.0, 0.0], atol=1e-12)
+        assert count[0] == solves
+
+    @pytest.mark.parametrize("data", [
+        projection_subproblem(extra_rows=[(np.array([0.0, -1.0, 0.0]), 0.0)], soc=False),
+        projection_subproblem(H=np.diag([1.0, 1.0, -0.25]),
+                              extra_rows=[(np.array([0.0, 0.0, -1.0]), 3.0)], soc=False),
+    ], ids=["duplicated-row", "indefinite"])
+    def test_possibly_non_unique_solves_every_pattern(self, data, monkeypatch):
+        count = count_pattern_solves(monkeypatch)
+        points = enumerate_kkt_points(data, np.array([-1.0, 0.0]))
+        assert len(points) > 1  # three multipliers of one d; two directions
+        assert count[0] == 2 ** data.m
+
+    @pytest.mark.parametrize("hint_lam", [None, np.array([-1.0])])
+    def test_no_kkt_point_solves_every_pattern(self, hint_lam, monkeypatch):
+        count = count_pattern_solves(monkeypatch)
+        assert enumerate_kkt_points(ex55_subproblem(0.1), hint_lam) == []
+        assert count[0] == 2
 
 
 class TestNewtonStarts:
@@ -523,7 +577,7 @@ def test_newton_stopping_rule_keeps_every_answer(rng, monkeypatch):
     for data, hint, cfg in cases:
         before = starts[0]
         fast.append((solve_subproblem(data, hint, cfg), starts[0] - before))
-    monkeypatch.setattr(subproblem, "_multiplier_unique", lambda *args: False)
+    monkeypatch.setattr(subproblem, "_only_kkt_point", lambda *args: False)
     stopped_early = 0
     for (data, hint, cfg), (sol, n_starts) in zip(cases, fast):
         before = starts[0]
@@ -533,6 +587,29 @@ def test_newton_stopping_rule_keeps_every_answer(rng, monkeypatch):
         if ref.status == KKT_POINT:
             assert np.array_equal(sol.d, ref.d) and np.array_equal(sol.lam, ref.lam)
     assert stopped_early >= 12  # the comparison covers the rule, not only its misses
+
+
+def test_enumeration_stopping_rule_keeps_every_answer(rng, monkeypatch):
+    cases = []
+    for trial in range(64):
+        data = random_newton_instance(rng, second_order=False)
+        hint = (np.zeros(data.n), rng.normal(size=data.m) if trial % 2 else np.zeros(data.m))
+        cases.append((data, hint, SolverConfig(engine=ENGINE_ENUMERATION)))
+    solves = count_pattern_solves(monkeypatch)
+    fast = []
+    for data, hint, cfg in cases:
+        before = solves[0]
+        fast.append((solve_subproblem(data, hint, cfg), solves[0] - before))
+    monkeypatch.setattr(subproblem, "_only_kkt_point", lambda *args: False)
+    stopped_early = 0
+    for (data, hint, cfg), (sol, n_solves) in zip(cases, fast):
+        before = solves[0]
+        ref = solve_subproblem(data, hint, cfg)
+        stopped_early += n_solves < solves[0] - before
+        assert (sol.status, sol.engine) == (ref.status, ref.engine)
+        if ref.status == KKT_POINT:
+            assert np.array_equal(sol.d, ref.d) and np.array_equal(sol.lam, ref.lam)
+    assert stopped_early >= 16  # the comparison covers the rule, not only its misses
 
 
 class TestValidation:
