@@ -1,9 +1,9 @@
 """Digests of the subproblem engines' outputs on two benchmark workloads.
 
-Regenerates the seed-1 inputs of the ``sqp_solve`` (210 operations) and
-``engine_crossval`` (400 operations) workloads from ``perfbench/problems.py``
-and ``perfbench/workloads.py``, which are only read, runs every operation
-once in process and hashes what it returned:
+Regenerates the inputs of the ``sqp_solve`` (210 operations) and
+``engine_crossval`` (400 operations) workloads at each of ``SEEDS`` from
+``perfbench/problems.py`` and ``perfbench/workloads.py``, which are only
+read, runs every operation once in process and hashes what it returned:
 
 * ``sqp_solve``: each run's status, failure step, subproblem status, rate,
   iterates, residuals and step norms, and the solution of every subproblem
@@ -11,7 +11,7 @@ once in process and hashes what it returned:
 * ``engine_crossval``: the solution of each engine on each subproblem.
 
 A solution contributes its status and engine, and its ``d``, ``lam`` and
-residual bytes.  Each workload gets two SHA-256 digests: ``full`` over all
+residual bytes.  Each workload and seed gets two SHA-256 digests: ``full`` over all
 of that, ``verdicts`` over the statuses, engines and rates only.
 ``tests/test_engine_digests.py`` compares them with ``EXPECTED``: the full
 digests when the build recorded there (Python, numpy, machine) is the one
@@ -41,7 +41,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import conesqp as cs  # noqa: E402
 
 EXPECTED = ROOT / "tests" / "engine_digests.json"
-SEED = 1
+SEEDS = (1, 2, 3)
 WORKLOADS = ("sqp_solve", "engine_crossval")
 
 
@@ -91,14 +91,14 @@ class _Digest:
             self.bits(z.x, z.lam, (res.stationarity, res.complementarity, res.feasibility))
 
 
-def run(workload: str) -> dict:
-    """One pass over the workload's seed-1 operations: their count, the two
+def run(workload: str, seed: int) -> dict:
+    """One pass over the workload's operations at ``seed``: their count, the two
     digests, the ``np.linalg.lstsq`` calls the pass made, and the label of
     every operation that failed its benchmark check."""
     _load("problems")
     generate, setup = _load("workloads").WORKLOADS[workload]
     with tempfile.TemporaryDirectory() as tmp:
-        ops = setup(cs, generate(SEED, Path(tmp)))
+        ops = setup(cs, generate(seed, Path(tmp)))
     digest = _Digest()
     solved: list = []  # the subproblem solutions of the running SQP operation
     solve_subproblem, lstsq = cs.sqp.solve_subproblem, np.linalg.lstsq
@@ -133,15 +133,18 @@ def run(workload: str) -> dict:
 
 
 def main() -> int:
-    doc = {"seed": SEED, "build": build(), "workloads": {}}
-    for workload in WORKLOADS:
-        result = run(workload)
-        if result["failed"]:
-            print(f"{workload}: operations failing their check: {result['failed']}", file=sys.stderr)
-            return 1
-        print(f"{workload}: {result['operations']} operations, "
-              f"{result['lstsq_calls']} lstsq calls")
-        doc["workloads"][workload] = {k: result[k] for k in ("operations", "full", "verdicts")}
+    doc = {"build": build(), "seeds": {}}
+    for seed in SEEDS:
+        doc["seeds"][str(seed)] = digests = {}
+        for workload in WORKLOADS:
+            result = run(workload, seed)
+            if result["failed"]:
+                print(f"{workload} seed {seed}: operations failing their check: {result['failed']}",
+                      file=sys.stderr)
+                return 1
+            print(f"{workload} seed {seed}: {result['operations']} operations, "
+                  f"{result['lstsq_calls']} lstsq calls")
+            digests[workload] = {k: result[k] for k in ("operations", "full", "verdicts")}
     EXPECTED.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {EXPECTED.relative_to(ROOT)}")
     return 0

@@ -51,14 +51,16 @@ def runs():
         yield f"oracle-check_{cone}", ["oracle-check", "--cone", cone, "--seed", str(ORACLE_SEED)]
 
 
-def main(argv=None) -> int:
+def main(argv=None, selected=None) -> int:
+    """Write the reports of the ``selected`` runs (all by default) into the
+    directory ``argv[0]``."""
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print("usage: python scripts/registry_reports.py OUT_DIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
-    for run, args in runs():
+    for run, args in runs() if selected is None else selected:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main([*args, "--json", str(out / f"{run}.json")])
         (out / f"{run}.exit").write_text(f"{code}\n")

@@ -291,6 +291,38 @@ def _soc_boundary_normal(block_y: np.ndarray) -> np.ndarray:
     return a
 
 
+def normal_cone_basis(cone: ConeSpec, y: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]] | None:
+    """``(B, nonpos)`` with ``N_C(y) = {B v : v[nonpos] <= 0}``, the normal
+    cone of the constraint cone at y (taken to lie in it), from the faces
+    active at ``tol``: the zero blocks, the orthant coordinates with
+    ``y_i <= tol (1 + ||y||)`` and the boundary normal of each second-order
+    block on its boundary; None when a second-order block sits at its apex,
+    where N_C(y) is no polyhedral image."""
+    m = cone.total_dim
+    eye = np.eye(m)
+    active = tol * (1.0 + float(np.linalg.norm(y)))
+    cols: list[np.ndarray] = []
+    nonpos: list[int] = []
+    for block, sl in cone.slices():
+        if block.kind == ZERO:
+            cols.extend(eye[sl])
+        elif block.kind == ORTHANT:
+            for i in range(sl.start, sl.stop):
+                if not y[i] > active:  # active: lam_i <= 0
+                    nonpos.append(len(cols))
+                    cols.append(eye[i])
+        else:
+            case = _soc_case(y[sl], tol)
+            if case == "apex":
+                return None
+            if case == "boundary":
+                col = np.zeros(m)
+                col[sl] = -_soc_boundary_normal(y[sl])  # lam = mu * a, mu >= 0, as v * (-a), v <= 0
+                nonpos.append(len(cols))
+                cols.append(col)
+    return np.array(cols).T.reshape(m, len(cols)), nonpos
+
+
 def tangent_cone_contains(cone: ConeSpec, y: np.ndarray, w: np.ndarray) -> bool:
     """Closed-form blockwise tangent-cone membership test."""
     y = _check_dim(cone, y, "y")
@@ -414,6 +446,7 @@ class CriticalCone:
     eq: np.ndarray = field(repr=False)    # (p, m): eq @ w == 0 on K
     ineq: np.ndarray = field(repr=False)  # (q, m): ineq @ w <= 0 on K
     soc_block_slices: tuple[slice, ...] = ()  # non-polyhedral blocks (kind "soc")
+    tol: float = _TOL  # which faces count as active
 
     @property
     def is_polyhedral(self) -> bool:
@@ -452,32 +485,9 @@ class CriticalCone:
         return H
 
     def multiplier_basis(self) -> tuple[np.ndarray, list[int]] | None:
-        """``(B, nonpos)`` with ``N_C(y) = {B v : v[nonpos] <= 0}``, the
-        normal cone of the constraint cone at y; None when a second-order
-        block sits at its apex, where N_C(y) is no polyhedral image.
-
-        Reads only which faces are active, so it depends on y, not on lam.
-        """
-        m = self.cone.total_dim
-        eye = np.eye(m)
-        cols: list[np.ndarray] = []
-        nonpos: list[int] = []
-        for bc, (block, sl) in zip(self.blocks, self.cone.slices()):
-            if block.kind == ZERO:
-                cols.extend(eye[sl])
-            elif block.kind == ORTHANT:
-                for i, ck in zip(range(sl.start, sl.stop), bc.coord_kinds):
-                    if ck != "free":  # active: lam_i <= 0
-                        nonpos.append(len(cols))
-                        cols.append(eye[i])
-            elif bc.kind in ("hyperplane", "halfspace"):
-                col = np.zeros(m)
-                col[sl] = -bc.normal  # lam = mu * a with mu >= 0, written as v * (-a), v <= 0
-                nonpos.append(len(cols))
-                cols.append(col)
-            elif bc.kind != "full":
-                return None
-        return np.array(cols).T.reshape(m, len(cols)), nonpos
+        """``normal_cone_basis`` at y: it reads only which faces are active,
+        so it depends on y and the tolerance, not on lam."""
+        return normal_cone_basis(self.cone, self.y, self.tol)
 
     @property
     def strictly_complementary(self) -> bool:
@@ -540,14 +550,10 @@ def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = _
                     r[-1] = 1.0
                     bc = BlockCriticalCone("ray", d, normal=r)
         blocks.append(bc)
-        for row in bc.eq_rows():
-            full = np.zeros(m)
-            full[sl] = row
-            eq_rows.append(full)
-        for row in bc.ineq_rows():
-            full = np.zeros(m)
-            full[sl] = row
-            ineq_rows.append(full)
+        for rows, out in ((bc.eq_rows(), eq_rows), (bc.ineq_rows(), ineq_rows)):
+            full = np.zeros((len(rows), m))
+            full[:, sl] = rows
+            out.extend(full)
         if bc.kind == "soc":
             soc_slices.append(sl)
     return CriticalCone(
@@ -557,6 +563,7 @@ def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = _
         eq=np.array(eq_rows).reshape(-1, m),
         ineq=np.array(ineq_rows).reshape(-1, m),
         soc_block_slices=tuple(soc_slices),
+        tol=tol,
     )
 
 

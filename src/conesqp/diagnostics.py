@@ -31,7 +31,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import cones, expr, polyhedra
+from . import cones, polyhedra
 from . import problem as problem_mod
 from .cones import CriticalCone
 from .polyhedra import BudgetExceeded, Polyhedron
@@ -561,15 +561,15 @@ def _perturbed_kkt(p: ProblemSpec, x, lam, v, w):
 
     Stacks ``x`` ``(B, n)`` and ``lam`` ``(B, m)``, with one perturbation or a
     stack of them, give stacked rows, bit for bit those of each point alone."""
-    _, grad = expr.eval1(p.objective, x)
-    f_val, jac_f = problem_mod.constraint_values(p, x)
+    grad, f_val, jac_f = problem_mod.first_order(p, x)
     jt_lam = (jac_f.swapaxes(-1, -2) @ lam[..., None])[..., 0]
     return grad - v + jt_lam, f_val + w
 
 
-def _perturbed_residual(p: ProblemSpec, x, lam, v, w):
-    """The perturbed KKT residual at (x, lam); stacks give it row by row."""
-    r1, y = _perturbed_kkt(p, x, lam, v, w)
+def _perturbed_residual(p: ProblemSpec, x, lam, v, w, kkt=None):
+    """The perturbed KKT residual at (x, lam), from ``kkt``, the
+    ``_perturbed_kkt`` there, when given; stacks give it row by row."""
+    r1, y = kkt or _perturbed_kkt(p, x, lam, v, w)
     r2 = y - cones.project(p.cone, y + lam)
     return row_norms(r1) + row_norms(r2) + row_norms(y - cones.project(p.cone, y))
 
@@ -620,11 +620,11 @@ def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
         lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
         x, lam, res = _newton_perturbed(p, x0, lam0, v, w, active)
         i = np.flatnonzero(res <= 1e-12)
-        y = problem_mod.constraint_values(p, x[i])[0] + w[i]
+        kkt = _perturbed_kkt(p, x[i], lam[i], v[i], w[i])
         slack = 1e-9 * (1.0 + row_norms(lam[i]))[:, None]  # the signs of cones.pattern_signs_ok
         i = i[~np.any(lam[i][:, orth_active] > slack, axis=1)
-              & ~np.any(y[:, inactive] < -slack, axis=1)]
-        i = i[_perturbed_residual(p, x[i], lam[i], v[i], w[i]) <= 1e-8]
+              & ~np.any(kkt[1][:, inactive] < -slack, axis=1)
+              & (_perturbed_residual(p, x[i], lam[i], v[i], w[i], kkt) <= 1e-8)]
         sols[i, k], ok[i, k] = np.concatenate([x[i], lam[i]], axis=1), True
     return sols, ok
 

@@ -9,13 +9,15 @@ smoothness the rest of the package needs (objectives and constraints are
 assumed twice differentiable at the points where they are evaluated);
 ``eval1`` skips the Hessian for callers that only need the gradient.
 
-Evaluation runs a tape: on the first ``eval1`` or ``eval2`` of an ``ExprAST``
-the tree is compiled, without recursion, into straight-line scalar
-instructions for the structurally nonzero entries of the value, gradient and
-Hessian, and the tape is kept on that ``ExprAST``.  It gives the bits of the
-dense forward-mode rules except for the sign of exact zeros, runs Python
-floats for a single point and ``(B,)`` columns for a stack of points, and
-has no depth limit, so a flat sum of thousands of terms evaluates.
+Evaluation runs a tape per problem: ``evaluate`` compiles the objective and
+constraints of a problem, on its first evaluation and without recursion,
+into one program of straight-line scalar instructions for the structurally
+nonzero entries of every value, gradient and Hessian, with the instructions
+that expressions share emitted once, and keeps it on the problem; ``eval1``
+and ``eval2`` are its one-expression case, kept on the ``ExprAST``.  A tape
+gives the bits of the dense forward-mode rules except for the sign of exact
+zeros, runs Python floats for a single point and ``(B,)`` columns for a
+stack of points, and has no depth limit.
 """
 
 from __future__ import annotations
@@ -300,54 +302,60 @@ def eval2(ast: ExprAST, x: np.ndarray) -> SecondOrderValue:
     nonzero denominator at the evaluation point.  ``x`` may also be a stack
     of points ``(B, n)``: values ``(B,)``, gradients ``(B, n)`` and Hessians
     ``(B, n, n)`` are then, row by row, bit for bit those of the single
-    points, and a zero denominator in any row raises ``EvalError``.
-
-    The first evaluation compiles ``ast`` into a tape of scalar instructions
-    for the structurally nonzero entries only, kept on ``ast``.  Each entry is
-    computed by the operations of the dense forward-mode rules, in their
-    order, less the terms with a structurally zero factor, so the bits are
-    those of dense evaluation except for the sign of an exact zero.  Where a
-    dropped term would have met a non-finite factor (where dense evaluation
-    makes ``0 * inf = nan``), the point goes through a tape that keeps every
-    term.  The tape is straight-line code, so even a flat sum of thousands
-    of terms has no depth limit.
+    points, and a zero denominator in any row raises ``EvalError``.  This is
+    ``evaluate`` of the one expression, on a tape kept on ``ast``.
     """
-    return SecondOrderValue(*_evaluate(ast, x, True))
+    value, grad, hess = evaluate(ast, (ast,), x, True)
+    return SecondOrderValue(value[:, 0] if value.ndim == 2 else float(value[0]), grad[..., 0, :],
+                            hess[..., 0, :, :])
 
 
 def eval1(ast: ExprAST, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Value and gradient of ``ast`` at ``x``, bit for bit those of ``eval2``.
+    """Value and gradient of ``ast`` at ``x`` or a stack, bit for bit those of
+    ``eval2``; it runs the part of the tape before the Hessian."""
+    value, grad = evaluate(ast, (ast,), x, False)
+    return value[:, 0] if value.ndim == 2 else float(value[0]), grad[..., 0, :]
 
-    ``x`` may also be a stack of points ``(B, n)``: the values ``(B,)`` and
-    gradients ``(B, n)`` are then, row by row, bit for bit those of the
-    single points.  A zero denominator in any row raises ``EvalError``.
-    ``eval1`` runs the part of ``eval2``'s tape before the Hessian.
+
+def evaluate(owner, asts: tuple[ExprAST, ...], x, hess: bool) -> list[np.ndarray]:
+    """Values ``(k,)``, gradients ``(k, n)`` and, with ``hess``, Hessians
+    ``(k, n, n)`` of the k expressions ``asts`` over x1..xn at ``x``, from one
+    run of their tape.  A stack of points ``(B, n)`` puts ``B`` first in each
+    output, row by row bit for bit the outputs of each point alone; a zero
+    denominator in any row raises ``EvalError``.
+
+    The first evaluation compiles ``asts`` into one tape of scalar
+    instructions for the structurally nonzero entries, kept on ``owner`` (an
+    expression for itself, a problem for its objective and constraints).
+    Each entry takes the operations of the dense forward-mode rules, in
+    their order, less the terms with a structurally zero factor, so its bits
+    are those of dense evaluation except for the sign of an exact zero.
+    Where a dropped term would have met a non-finite factor (where dense
+    evaluation makes ``0 * inf = nan``), the point goes through a tape that
+    keeps every term.  The tape is straight-line code without depth limit.
     """
-    return _evaluate(ast, x, False)
-
-
-def _evaluate(ast: ExprAST, x, hess: bool):
+    n = asts[0].n
     x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (ast.n,) or x.ndim > 2:
-        raise ValueError(f"point has shape {x.shape}, expected ({ast.n},)")
+    if x.shape[-1:] != (n,) or x.ndim > 2:
+        raise ValueError(f"point has shape {x.shape}, expected ({n},)")
     if x.ndim == 1:
         point = x.tolist()
-        return _tape(ast, False).point(point, hess) or _tape(ast, True).point(point, hess)
-    out, inexact = _tape(ast, False).stack(x, hess)
+        return _tape(owner, asts, False).point(point, hess) or _tape(owner, asts, True).point(point, hess)
+    out, inexact = _tape(owner, asts, False).stack(x, hess)
     if inexact is not None and inexact.any():
-        for full, rows in zip(out, _tape(ast, True).stack(x[inexact], hess)[0]):
+        for full, rows in zip(out, _tape(owner, asts, True).stack(x[inexact], hess)[0]):
             full[inexact] = rows
-    return tuple(out)
+    return out
 
 
-def _tape(ast: ExprAST, exact: bool) -> "_Tape":
-    """The tape of ``ast``, built on first use and kept on ``ast``, so it is
-    freed with the expression; the ``exact`` one serves the points where the
-    other does not answer."""
+def _tape(owner, asts, exact: bool) -> "_Tape":
+    """The tape of ``asts``, built on first use and kept on ``owner``, so it is
+    freed with it; the ``exact`` one serves the points where the other does
+    not answer."""
     key = "_exact_tape" if exact else "_tape"
-    tape = ast.__dict__.get(key)  # beside the fields, so equality and hashing ignore it
+    tape = owner.__dict__.get(key)  # beside the fields, so equality and hashing ignore it
     if tape is None:
-        tape = ast.__dict__[key] = _compile(ast.root, ast.n, exact)
+        tape = owner.__dict__[key] = _compile([a.root for a in asts], asts[0].n, exact)
     return tape
 
 
@@ -392,29 +400,30 @@ def _run(code, r: list) -> None:
 
 
 class _Tape:
-    """The straight-line program of one expression (forward mode; Griewank &
+    """The straight-line program of k expressions (forward mode; Griewank &
     Walther, *Evaluating Derivatives*, 2008, ch. 3 and 13).
 
-    ``grad_code`` computes the value and the gradient, then ``hess_code`` the
-    Hessian, already symmetrized; ``value``, ``grad`` and ``hess`` name the
-    registers that hold the outputs (a zero constant where an entry is
-    structurally zero).  ``checks`` are the denominators.  Each code is
-    ``(ops, a, b)``: a ``bytes`` of operations and two ``array('i')`` of
-    registers.  An ``exact`` tape answers everywhere: it keeps every term of
-    the dense rules, or it has no product, quotient or power, so it drops no
-    term with a factor.  Any other tape has finite constants and answers only
-    where every register before the Hessian, so every factor of a dropped
-    term, is finite."""
+    ``grad_code`` computes the values and the gradients, then ``hess_code``
+    the Hessians, already symmetrized; ``value``, ``grad`` and ``hess`` name
+    the registers that hold the outputs, expression after expression (a zero
+    constant where an entry is structurally zero).  ``checks`` are the
+    denominators.  Each code is ``(ops, a, b)``: a ``bytes`` of operations
+    and two ``array('i')`` of registers.  The tape answers only where the
+    registers ``finite`` (a slice: the inputs and the gradient part) are
+    finite, so where every factor of a dropped term is; ``finite`` is None
+    when no term with a factor was dropped: the tape is ``exact`` (it keeps
+    every term of the dense rules), or no expression built without every
+    term has a product, quotient or power."""
 
-    __slots__ = ("n", "consts", "grad_code", "hess_code", "value", "grad", "hess", "checks",
-                 "exact")
+    __slots__ = ("n", "k", "consts", "grad_code", "hess_code", "value", "grad", "hess", "checks",
+                 "finite")
 
-    def __init__(self, n, consts, grad_code, hess_code, value, grad, hess, checks, exact):
-        self.n, self.consts, self.grad_code, self.hess_code = n, consts, grad_code, hess_code
-        self.value, self.grad, self.hess, self.checks, self.exact = value, grad, hess, checks, exact
+    def __init__(self, n, k, consts, grad_code, hess_code, value, grad, hess, checks, finite):
+        self.n, self.k, self.consts, self.grad_code, self.hess_code = n, k, consts, grad_code, hess_code
+        self.value, self.grad, self.hess, self.checks, self.finite = value, grad, hess, checks, finite
 
     def point(self, x: list, hess: bool):
-        """``(value, gradient[, Hessian])`` at the point ``x`` (a list of
+        """``[values, gradients[, Hessians]]`` at the point ``x`` (a list of
         floats), or None where this tape does not answer."""
         r = self.consts.tolist() + x
         try:
@@ -424,39 +433,38 @@ class _Tape:
         for c in self.checks:
             if abs(r[c]) < _DIV_FLOOR:
                 raise EvalError("division by zero")
-        if not self.exact:
-            total = sum(r)  # finite only if every register is
-            if total - total != 0.0 and not all(map(math.isfinite, r)):
+        if self.finite is not None:
+            runtime = r[self.finite]
+            total = sum(runtime)  # finite only if every register is
+            if total - total != 0.0 and not all(map(math.isfinite, runtime)):
                 return None
-        value, grad = r[self.value], np.array([r[i] for i in self.grad])
-        if not hess:
-            return value, grad
-        _run(self.hess_code, r)
-        return value, grad, np.array([r[i] for i in self.hess]).reshape(self.n, self.n)
+        get = r.__getitem__
+        out = [np.fromiter(map(get, self.value), float, self.k),
+               np.fromiter(map(get, self.grad), float, len(self.grad)).reshape(self.k, self.n)]
+        if hess:
+            _run(self.hess_code, r)
+            out.append(np.fromiter(map(get, self.hess), float, len(self.hess)).reshape(
+                self.k, self.n, self.n))
+        return out
 
     def stack(self, X: np.ndarray, hess: bool):
         """The stacked outputs at the rows of ``X`` ``(B, n)``, and the rows
         where this tape does not answer."""
-        rows = len(X)
+        rows, k, n = len(X), self.k, self.n
         r = self.consts.tolist() + list(X.T)
-        if self.checks:  # a zero denominator is refused after the division
-            with np.errstate(divide="ignore", invalid="ignore"):
-                _run(self.grad_code, r)
-        else:
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is refused below
             _run(self.grad_code, r)
         for c in self.checks:
             if (abs(r[c]) < _DIV_FLOOR).any():
                 raise EvalError("division by zero")
         inexact = None
-        if not self.exact:
-            runtime = r[len(self.consts):]
+        if self.finite is not None:
+            runtime = r[self.finite]
             inexact = ~np.isfinite(np.array(runtime).reshape(len(runtime), rows)).all(axis=0)
-        value = np.empty(rows)
-        value[...] = r[self.value]
-        out = [value, _columns(r, self.grad, rows)]
+        out = [_columns(r, self.value, rows), _columns(r, self.grad, rows).reshape(rows, k, n)]
         if hess:
             _run(self.hess_code, r)
-            out.append(_columns(r, self.hess, rows).reshape(rows, self.n, self.n))
+            out.append(_columns(r, self.hess, rows).reshape(rows, k, n, n))
         return out, inexact
 
 
@@ -469,20 +477,21 @@ def _columns(r: list, refs, rows: int) -> np.ndarray:
 
 
 class _Builder:
-    """Emits one tape.  An operand is a register (``int``) or a constant
-    (``float``), which gets a register only when an instruction or an output
-    needs it.  Constant operations are folded in float64; ``1 * t`` is ``t``
-    bit for bit, so it emits nothing; equal instructions are emitted once
-    (``*`` and ``+`` commute bit for bit).  In each node's gradient ``g``
-    (keyed by ``i``) and Hessian ``h`` (keyed by ``i * n + j``) an absent
-    entry is structurally zero, unless the build is ``exact``.  No rule
-    changes a child's dictionaries, so children may share them."""
+    """Emits one tape, of one or more expressions.  An operand is a register
+    (``int``) or a constant (``float``), which gets a register only when an
+    instruction or an output needs it.  Constant operations are folded in
+    float64; ``1 * t`` is ``t`` bit for bit, so it emits nothing; equal
+    instructions are emitted once, across expressions too (``*`` and ``+``
+    commute bit for bit).  In each node's gradient ``g`` (keyed by ``i``) and
+    Hessian ``h`` (keyed by ``i * n + j``) an absent entry is structurally
+    zero, unless the expression is built ``exact``.  No rule changes a
+    child's dictionaries, so children may share them."""
 
-    def __init__(self, n: int, exact: bool):
-        self.n, self.exact = n, exact
+    def __init__(self, n: int):
+        self.n, self.exact = n, False
         self.consts: list[float] = []
         self.const_refs: dict = {}
-        self.finite = True  # every constant so far, folded or not, is finite
+        self.finite = True  # every constant of this expression, folded or not, is finite
         self.codes = ([], [])  # (op, a, b) after (op, a, b), per stream
         self.stream = 0  # 1 while emitting Hessian entries
         self.memo: dict = {}
@@ -592,10 +601,66 @@ class _Builder:
         return [(i * n + j, mul(ri, rj)) for i, ri in ga.items() for j, rj in gb.items()]
 
 
-def _compile(root: Node, n: int, exact: bool) -> _Tape:
-    """The tape of the expression ``root`` over x1..xn (see ``_Tape``): one
-    post-order walk without recursion, each node evaluated once (by ``id``)."""
-    bld = _Builder(n, exact)
+def _compile(roots: list, n: int, exact: bool, exact_ones=frozenset()) -> _Tape:
+    """The tape of the expressions ``roots`` over x1..xn (see ``_Tape``),
+    emitted by one builder.  Those with a non-finite constant (``exact_ones``
+    on the second try) are built exact, since a dropped term may meet the
+    constant anywhere, and last, so no other expression reads a register of
+    theirs and the registers to test for ``finite`` are the ones before."""
+    bld = _Builder(n)
+    outs, products, cut, nonfinite = [None] * len(roots), False, None, []
+    for e in sorted(range(len(roots)), key=exact_ones.__contains__):
+        if e in exact_ones and cut is None:
+            cut = len(bld.codes[0]) // 3
+        bld.exact, bld.finite = exact or e in exact_ones, True
+        v, g, h, dropped = _walk(bld, roots[e])
+        outs[e] = v, g, h
+        products = products or (dropped and not bld.exact)
+        if not bld.finite and not bld.exact:
+            nonfinite.append(e)
+    if nonfinite:
+        return _compile(roots, n, exact, frozenset(nonfinite))
+
+    def reg(r) -> int:
+        return r if type(r) is int else bld.reg(r)
+
+    zero = reg(0.0)  # the structurally zero entries
+    value, grad, hess = [], [], []
+    bld.stream = 1
+    for v, g, h in outs:
+        value.append(reg(v))
+        row = [zero] * n
+        for i, r in g.items():
+            row[i] = reg(r)
+        grad += row
+        row = [zero] * (n * n)
+        for k, r in h.items():  # 0.5 * (h + h'), as one rule for every entry
+            i, j = divmod(k, n)
+            t = h.get(j * n + i)
+            row[k] = reg(bld.mul(0.5, r if t is None else bld.add(r, t)))
+        hess += row
+
+    consts = len(bld.consts)
+    code1, code2 = bld.codes
+    shift = consts + n + len(code1) // 3 - _HESS
+    cut = len(code1) // 3 if cut is None else cut
+
+    def refs(seq) -> array:
+        return array("i", [~r if r < 0 else r + consts if r < _HESS else r + shift for r in seq])
+
+    return _Tape(n, len(roots), array("d", bld.consts),
+                 (bytes(code1[::3]), refs(code1[1::3]), refs(code1[2::3])),
+                 (bytes(code2[::3]), refs(code2[1::3]), refs(code2[2::3])),
+                 refs(value), refs(grad), refs(hess), refs(dict.fromkeys(bld.checks)),
+                 slice(consts, consts + n + cut) if products else None)
+
+
+def _walk(bld: _Builder, root: Node):
+    """``(value, gradient, Hessian, products)`` of the expression ``root``,
+    emitted into ``bld``: one post-order walk without recursion, each node
+    evaluated once (by ``id``); ``products`` tells whether it has a product,
+    quotient or power, which may drop a term with a factor."""
+    n = bld.n
     mul, add, sub, neg, plus, minus = bld.mul, bld.add, bld.sub, bld.neg, bld.plus, bld.minus
     g0, h0 = bld.zeros(n), bld.zeros(n * n)
     variables = []
@@ -610,7 +675,7 @@ def _compile(root: Node, n: int, exact: bool) -> _Tape:
             return variables[node.index]
         return bld.fold(float(node.value)), g0, h0
 
-    products = False  # a product, quotient or power may drop a term with a factor
+    products = False
     stack = [] if type(root) in _LEAVES else [(root, False)]
     while stack:
         node, ready = stack.pop()
@@ -688,33 +753,4 @@ def _compile(root: Node, n: int, exact: bool) -> _Tape:
         bld.stream = 0
         done[key] = v, g, h
 
-    v, g, h = done.get(id(root)) or leaf(root)
-
-    def reg(r) -> int:
-        return r if type(r) is int else bld.reg(r)
-
-    zero = reg(0.0)  # the structurally zero entries
-    grad = [zero] * n
-    for i, r in g.items():
-        grad[i] = reg(r)
-    bld.stream = 1
-    hess = [zero] * (n * n)
-    for k, r in h.items():  # 0.5 * (h + h'), as one rule for every entry
-        i, j = divmod(k, n)
-        t = h.get(j * n + i)
-        hess[k] = reg(mul(0.5, r if t is None else add(r, t)))
-    value = reg(v)
-    if not (exact or bld.finite):
-        return _compile(root, n, True)  # a dropped term may meet the non-finite constant anywhere
-
-    consts = len(bld.consts)
-    code1, code2 = bld.codes
-    shift = consts + n + len(code1) // 3 - _HESS
-
-    def refs(seq) -> array:
-        return array("i", [~r if r < 0 else r + consts if r < _HESS else r + shift for r in seq])
-
-    return _Tape(n, array("d", bld.consts),
-                 (bytes(code1[::3]), refs(code1[1::3]), refs(code1[2::3])),
-                 (bytes(code2[::3]), refs(code2[1::3]), refs(code2[2::3])),
-                 refs([value])[0], refs(grad), refs(hess), refs(bld.checks), exact or not products)
+    return (*(done.get(id(root)) or leaf(root)), products)

@@ -83,39 +83,39 @@ class LagrangianData:
     jac_f: np.ndarray
 
 
-def constraint_values(p: ProblemSpec, x: np.ndarray):
-    """Values and Jacobian (m x n) of f at x, without the Hessians; a stack of
-    points ``(B, n)`` gives ``(B, m)`` values and ``(B, m, n)`` Jacobians."""
-    vals = np.empty(x.shape[:-1] + (p.m,))
-    jac = np.empty(x.shape[:-1] + (p.m, p.n))
-    for i, c in enumerate(p.constraints):
-        vals[..., i], jac[..., i, :] = expr.eval1(c, x)
-    return vals, jac
+def _outputs(p: ProblemSpec, x: np.ndarray, hess: bool) -> list[np.ndarray]:
+    """``expr.evaluate`` of the objective, then the constraints, on the tape
+    kept on ``p``: values ``(..., 1+m)``, gradients ``(..., 1+m, n)`` [and
+    Hessians ``(..., 1+m, n, n)``]."""
+    return expr.evaluate(p, (p.objective, *p.constraints), x, hess)
+
+
+def first_order(p: ProblemSpec, x: np.ndarray):
+    """Gradient of the objective, values and Jacobian (m x n) of f at x, from
+    one tape run; a stack of points ``(B, n)`` puts ``B`` first in each."""
+    value, grad = _outputs(p, x, False)
+    return grad[..., 0, :], value[..., 1:], grad[..., 1:, :]
 
 
 def lagrangian_data(p: ProblemSpec, z: KKTPair) -> LagrangianData:
-    """Gradients, Hessian and constraint data of the Lagrangian at ``z``.
+    """Gradients, Hessian and constraint data of the Lagrangian at ``z``,
+    from one tape run.
 
     A pair of stacks ``x`` ``(B, n)`` and ``lam`` ``(B, m)`` gives every field
     stacked, row by row bit for bit that of the point alone."""
     x, lam = z.x, z.lam
     stack = x.shape[:-1]
-    obj = expr.eval2(p.objective, x)
-    f_val = np.empty(stack + (p.m,))
-    jac_f = np.empty(stack + (p.m, p.n))
-    f_hess = np.empty(stack + (p.m, p.n, p.n))
-    for i, c in enumerate(p.constraints):
-        so = expr.eval2(c, x)
-        f_val[..., i], jac_f[..., i, :], f_hess[..., i, :, :] = so.value, so.gradient, so.hessian
+    value, grad, hess = _outputs(p, x, True)
+    grad_obj, jac_f = grad[..., 0, :], grad[..., 1:, :]
     # lam . f_hess as one (1, m) @ (m, n*n) product per point, not np.tensordot
-    lam_hess = (lam[..., None, :] @ f_hess.reshape(stack + (p.m, p.n * p.n))).reshape(
+    lam_hess = (lam[..., None, :] @ hess[..., 1:, :, :].reshape(stack + (p.m, p.n * p.n))).reshape(
         stack + (p.n, p.n))
-    hess = obj.hessian + lam_hess
+    hess = hess[..., 0, :, :] + lam_hess
     return LagrangianData(
-        grad_obj=obj.gradient,
-        grad_x=obj.gradient + (jac_f.swapaxes(-1, -2) @ lam[..., None])[..., 0],
+        grad_obj=grad_obj,
+        grad_x=grad_obj + (jac_f.swapaxes(-1, -2) @ lam[..., None])[..., 0],
         hess_xx=0.5 * (hess + hess.swapaxes(-1, -2)),
-        f_val=f_val,
+        f_val=value[..., 1:],
         jac_f=jac_f,
     )
 
@@ -164,8 +164,7 @@ def multiplier_set_analysis(p: ProblemSpec, x: np.ndarray) -> MultiplierSetAnaly
     facially-parametrized normal cone.
     """
     x = np.asarray(x, float)
-    _, grad = expr.eval1(p.objective, x)
-    f_val, jac_f = constraint_values(p, x)
+    grad, f_val, jac_f = first_order(p, x)
     try:
         # N_C(y) is the polar of the critical cone K(y, 0), the tangent cone
         K = cones.critical_cone(p.cone, f_val, np.zeros(p.m), FACE_TOL)

@@ -134,99 +134,38 @@ def _entry(name, n, objective, constraint_exprs, cone, reference, known):
 
 
 def registry() -> dict[str, RegistryEntry]:
-    """The built-in problems, keyed by name."""
+    """The built-in problems, keyed by name: ``_entry`` arguments, each known
+    point ``(x, lam, expected verdicts)``."""
     entries = [
-        _entry(
-            "ex55",
-            1,
-            "-0.5*x1^2 + x1^3/6",
-            ["x1"],
-            cones.orthant(1),
-            ([2.0], [0.0]),
-            [
-                (
-                    [0.0],
-                    [0.0],
-                    dict(ssoc_holds=False, ssoc_min=-1.0, srcq=True, noncritical=True,
-                         unique=True, calm="Calm", probe="bounded"),
-                ),
-                (
-                    [2.0],
-                    [0.0],
-                    dict(ssoc_holds=True, ssoc_min=1.0, srcq=True, noncritical=True,
-                         unique=True, calm="Calm", probe="bounded"),
-                ),
-            ],
-        ),
-        _entry(
-            "critical_toy",
-            1,
-            "x1^2",
-            ["x1^2"],
-            cones.zero(1),
-            ([0.0], [0.0]),
-            [
-                (
-                    [0.0],
-                    [0.0],
-                    dict(ssoc_holds=True, ssoc_min=2.0, srcq=False, noncritical=True,
-                         unique=False, calm="Calm"),
-                ),
-                (
-                    [0.0],
-                    [-1.0],
-                    dict(ssoc_holds=False, ssoc_min=0.0, srcq=False, noncritical=False,
-                         unique=False, calm="Calm", probe="diverging"),
-                ),
-            ],
-        ),
-        _entry(
-            "qp_orthant",
-            2,
-            "0.5*(x1-1)^2 + 0.5*(x2+1)^2",
-            ["x1", "x2"],
-            cones.orthant(2),
-            ([1.0, 0.0], [0.0, -1.0]),
-            [
-                (
-                    [1.0, 0.0],
-                    [0.0, -1.0],
-                    dict(ssoc_holds=True, ssoc_min=1.0, srcq=True, noncritical=True,
-                         unique=True, calm="Calm", probe="bounded"),
-                ),
-            ],
-        ),
-        _entry(
-            "soc_toy",
-            2,
-            "-x1",
-            ["x1", "x2", "1"],
-            cones.second_order(3),
-            ([1.0, 0.0], [1.0, 0.0, -1.0]),
-            [
-                (
-                    [1.0, 0.0],
-                    [1.0, 0.0, -1.0],
-                    dict(ssoc_holds=True, ssoc_min=1.0, srcq=True, noncritical=True,
-                         unique=True, calm="Calm", probe="bounded"),
-                ),
-            ],
-        ),
-        _entry(
-            "soc_degenerate",
-            2,
-            "0.5*(x1-1)^2 + 0.5*x2^2",
-            ["x1", "x2", "1"],
-            cones.second_order(3),
-            ([1.0, 0.0], [0.0, 0.0, 0.0]),
-            [
-                (
-                    [1.0, 0.0],
-                    [0.0, 0.0, 0.0],
-                    dict(ssoc_holds=True, ssoc_min=1.0, srcq=True, noncritical=True,
-                         unique=True, calm="Inconclusive"),
-                ),
-            ],
-        ),
+        _entry("ex55", 1, "-0.5*x1^2 + x1^3/6", ["x1"], cones.orthant(1), ([2.0], [0.0]), [
+            ([0.0], [0.0], dict(ssoc_holds=False, ssoc_min=-1.0, srcq=True, noncritical=True,
+                                unique=True, calm="Calm", probe="bounded")),
+            ([2.0], [0.0], dict(ssoc_holds=True, ssoc_min=1.0, srcq=True, noncritical=True,
+                                unique=True, calm="Calm", probe="bounded")),
+        ]),
+        _entry("critical_toy", 1, "x1^2", ["x1^2"], cones.zero(1), ([0.0], [0.0]), [
+            ([0.0], [0.0], dict(ssoc_holds=True, ssoc_min=2.0, srcq=False, noncritical=True,
+                                unique=False, calm="Calm")),
+            ([0.0], [-1.0], dict(ssoc_holds=False, ssoc_min=0.0, srcq=False, noncritical=False,
+                                 unique=False, calm="Calm", probe="diverging")),
+        ]),
+        _entry("qp_orthant", 2, "0.5*(x1-1)^2 + 0.5*(x2+1)^2", ["x1", "x2"], cones.orthant(2),
+               ([1.0, 0.0], [0.0, -1.0]), [
+            ([1.0, 0.0], [0.0, -1.0], dict(ssoc_holds=True, ssoc_min=1.0, srcq=True,
+                                           noncritical=True, unique=True, calm="Calm",
+                                           probe="bounded")),
+        ]),
+        _entry("soc_toy", 2, "-x1", ["x1", "x2", "1"], cones.second_order(3),
+               ([1.0, 0.0], [1.0, 0.0, -1.0]), [
+            ([1.0, 0.0], [1.0, 0.0, -1.0], dict(ssoc_holds=True, ssoc_min=1.0, srcq=True,
+                                                noncritical=True, unique=True, calm="Calm",
+                                                probe="bounded")),
+        ]),
+        _entry("soc_degenerate", 2, "0.5*(x1-1)^2 + 0.5*x2^2", ["x1", "x2", "1"],
+               cones.second_order(3), ([1.0, 0.0], [0.0, 0.0, 0.0]), [
+            ([1.0, 0.0], [0.0, 0.0, 0.0], dict(ssoc_holds=True, ssoc_min=1.0, srcq=True,
+                                               noncritical=True, unique=True,
+                                               calm="Inconclusive")),
+        ]),
     ]
     return {e.name: e for e in entries}

@@ -367,16 +367,18 @@ def _only_kkt_point(data: SubproblemData, d: np.ndarray, tol: float) -> bool:
     ``{B v : ...}`` (no second-order block at its apex) and ``A^T B`` has
     full column rank, so ``g + H d + A^T B v = 0`` fixes ``v``.
 
-    The faces are read at ``tol`` with ``lam = 0``: every face active within
-    it adds a column to ``B``, which can only fail the test.  ``y`` must lie
-    in the cone within ``tol`` (a point that passed the KKT residual test at
-    ``tol`` does), or ``critical_cone`` raises."""
+    The faces are read at ``tol`` by ``cones.normal_cone_basis``: every face
+    active within it adds a column to ``B``, which can only fail the test.
+    ``y`` must lie in the cone within ``tol`` (a point that passed the KKT
+    residual test at ``tol`` does), or ValueError is raised."""
     try:
         np.linalg.cholesky(data.H)
     except np.linalg.LinAlgError:
         return False
     y = data.c + data.A @ d
-    basis = cones.critical_cone(data.cone, y, np.zeros(data.m), tol).multiplier_basis()
+    if not cones.contains(data.cone, y, tol):
+        raise ValueError("y lies outside the cone beyond tolerance")
+    basis = cones.normal_cone_basis(data.cone, y, tol)
     if basis is None:
         return False
     B = basis[0]

@@ -111,7 +111,7 @@ def pattern_solutions(p, z, v, w):
         if sol is None:
             continue
         x, lam = sol
-        f_val, _ = problem.constraint_values(p, x)
+        f_val, _ = problem.first_order(p, x)[1:]
         slack = 1e-9 * (1.0 + float(np.linalg.norm(lam)))
         if not cones.pattern_signs_ok(lam, f_val + w, orth_active, inactive, slack):
             continue
@@ -223,7 +223,7 @@ def stacked_pattern_solutions(p, z, v, w):
         lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
         x, lam, res = diagnostics._newton_perturbed(p, x0, lam0, v, w, active)
         for i in np.flatnonzero(res <= 1e-12):
-            f_val, _ = problem.constraint_values(p, x[i])
+            f_val, _ = problem.first_order(p, x[i])[1:]
             slack = 1e-9 * (1.0 + float(np.linalg.norm(lam[i])))
             if not cones.pattern_signs_ok(lam[i], f_val + w[i], orth_active, inactive, slack):
                 continue

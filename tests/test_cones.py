@@ -174,6 +174,49 @@ class TestCriticalCone:
         assert interior.multiplier_basis()[0].shape == (3, 0)
         assert cones.critical_cone(SOC3, np.zeros(3), np.zeros(3)).multiplier_basis() is None
 
+    def test_normal_cone_basis_reads_the_critical_cone_faces(self):
+        # the one face reader against critical_cone's block kinds at lam = 0:
+        # zero blocks, orthant coordinates that are not "free", and the
+        # normals of "halfspace" blocks; any other second-order kind is an apex
+        def from_blocks(K):
+            m = K.cone.total_dim
+            cols, nonpos = [], []
+            for bc, (block, sl) in zip(K.blocks, K.cone.slices()):
+                if block.kind == cones.ZERO:
+                    cols.extend(np.eye(m)[sl])
+                elif block.kind == cones.ORTHANT:
+                    for i, ck in zip(range(sl.start, sl.stop), bc.coord_kinds):
+                        if ck != "free":
+                            nonpos.append(len(cols))
+                            cols.append(np.eye(m)[i])
+                elif bc.kind == "halfspace":
+                    nonpos.append(len(cols))
+                    cols.append(np.zeros(m))
+                    cols[-1][sl] = -bc.normal
+                elif bc.kind != "full":
+                    return None
+            return np.array(cols).T.reshape(m, len(cols)), nonpos
+
+        rng = np.random.default_rng(44)
+        cone = cones.product(cones.orthant(3), cones.zero(1), SOC3, cones.second_order(2))
+        seen = set()
+        for trial in range(600):
+            tol = 10.0 ** rng.uniform(-9, -6)
+            y = cones.sample_boundary_pair(cone, rng)[0]
+            if trial % 2:  # orthant coordinates within 1e-3 tol of the threshold
+                for i in range(3):
+                    y[i] = tol
+                    y[i] = tol * (1.0 + float(np.linalg.norm(y))) + rng.uniform(-1e-3, 1e-3) * tol
+            K = cones.critical_cone(cone, y, np.zeros(cone.total_dim), tol)
+            got, want = cones.normal_cone_basis(cone, y, tol), from_blocks(K)
+            assert (got is None) == (want is None) == (K.multiplier_basis() is None)
+            if got is not None:
+                assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+                assert np.array_equal(got[0], K.multiplier_basis()[0])
+            seen.update(bc.kind for bc in K.blocks)
+            seen.update(ck for bc in K.blocks for ck in bc.coord_kinds)
+        assert {"full", "halfspace", "soc", "point", "free", "nonneg"} <= seen
+
     def test_strict_complementarity_by_block_kind(self):
         apex = np.zeros(3)
         assert cones.critical_cone(SOC3, Y_BD, LAM_BD).strictly_complementary  # hyperplane

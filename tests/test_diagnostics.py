@@ -722,17 +722,19 @@ class TestClassify:
         assert len(calls) == 1
 
     def test_no_second_evaluation_without_probe(self, reg, monkeypatch):
+        # the problem tape runs once, for lagrangian_data: the multiplier
+        # analysis reads the objective gradient from that run
         calls = []
-        evaluate = expr.eval1
+        run = expr._Tape.point
 
-        def counting(e, x):
-            calls.append(x)
-            return evaluate(e, x)
+        def counting(tape, x, hess):
+            calls.append(hess)
+            return run(tape, x, hess)
 
-        monkeypatch.setattr(expr, "eval1", counting)
+        monkeypatch.setattr(expr._Tape, "point", counting)
         p = reg["qp_orthant"].problem
         classify_stationary_point(p, p.reference, CFG)
-        assert calls == []
+        assert calls == [True]
 
     def test_faces_decided_once(self):
         # y = (5e-8, -5e-8) sits within the face tolerance of both facets, so

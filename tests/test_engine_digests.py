@@ -1,5 +1,6 @@
-"""The subproblem engines' outputs on the benchmark's seed-1 ``sqp_solve`` and
-``engine_crossval`` inputs, against the digests in ``engine_digests.json``.
+"""The subproblem engines' outputs on the benchmark's ``sqp_solve`` and
+``engine_crossval`` inputs at seeds 1, 2 and 3, against the digests in
+``engine_digests.json``.
 
 ``scripts/engine_digests.py`` computes the digests and rewrites that file.
 The full digests (every ``d``, ``lam``, residual and iterate byte) are
@@ -28,13 +29,15 @@ digests = _load_script()
 
 @pytest.fixture(scope="module")
 def results():
-    return {workload: digests.run(workload) for workload in digests.WORKLOADS}
+    return {(seed, workload): digests.run(workload, seed)
+            for seed in digests.SEEDS for workload in digests.WORKLOADS}
 
 
+@pytest.mark.parametrize("seed", digests.SEEDS)
 @pytest.mark.parametrize("workload", digests.WORKLOADS)
-def test_engine_outputs_match_the_committed_digests(workload, results):
+def test_engine_outputs_match_the_committed_digests(workload, seed, results):
     expected = json.loads(digests.EXPECTED.read_text())
-    want, got = expected["workloads"][workload], results[workload]
+    want, got = expected["seeds"][str(seed)][workload], results[seed, workload]
     assert got["failed"] == []
     assert got["operations"] == want["operations"]
     assert got["verdicts"] == want["verdicts"]
@@ -45,4 +48,4 @@ def test_engine_outputs_match_the_committed_digests(workload, results):
 def test_sqp_pass_solves_few_patterns(results):
     # the step's own pattern first and the stop at the only KKT point; a full
     # enumeration of every subproblem makes 6,490 calls
-    assert results["sqp_solve"]["lstsq_calls"] < 1000
+    assert results[1, "sqp_solve"]["lstsq_calls"] < 1000
