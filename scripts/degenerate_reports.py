@@ -38,6 +38,22 @@ def _load_problems():
     return module
 
 
+def reports(seed: int):
+    """``(file name, DiagnosticsReport)`` of each case of ``seed``, in order."""
+    problems = _load_problems()
+    cfg = diagnostics.DiagnosticsConfig(run_probe=False)
+    for case in problems.degenerate_cases(np.random.default_rng(seed)):
+        p = registry.problem_from_dict(case.doc)
+        rep = diagnostics.classify_stationary_point(p, KKTPair(np.zeros(p.n), np.zeros(p.m)), cfg)
+        yield f"seed{seed}_{p.name}.txt", rep
+
+
+def text(rep) -> str:
+    """The file text of a report: its ``repr`` with every float in full."""
+    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+        return repr(rep) + "\n"
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
@@ -45,15 +61,10 @@ def main(argv=None) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
-    problems = _load_problems()
-    cfg = diagnostics.DiagnosticsConfig(run_probe=False)
-    with np.printoptions(floatmode="unique", threshold=sys.maxsize):
-        for seed in SEEDS:
-            for case in problems.degenerate_cases(np.random.default_rng(seed)):
-                p = registry.problem_from_dict(case.doc)
-                rep = diagnostics.classify_stationary_point(p, KKTPair(np.zeros(p.n), np.zeros(p.m)), cfg)
-                (out / f"seed{seed}_{p.name}.txt").write_text(repr(rep) + "\n")
-            print(f"seed {seed}: done", flush=True)
+    for seed in SEEDS:
+        for name, rep in reports(seed):
+            (out / name).write_text(text(rep))
+        print(f"seed {seed}: done", flush=True)
     return 0
 
 
