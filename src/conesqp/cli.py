@@ -21,6 +21,7 @@ from . import __version__, cones, diagnostics, registry, sqp
 from .polyhedra import BudgetExceeded
 from .problem import KKTPair
 from .registry import SchemaError
+from .tolerances import ORACLE_GATE
 
 
 def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
@@ -290,14 +291,14 @@ def _cmd_oracle_check(args) -> int:
         worst = max(worst, dev)
         checked += 1
     wall = time.perf_counter() - t0
-    ok = worst <= 1e-3
+    ok = worst <= ORACLE_GATE
     print(f"cone {args.cone}: {checked} random critical triples, "
           f"max relative deviation {worst:.3e} ({'OK' if ok else 'FAIL'}), wall {wall:.2f}s")
     payload = _report_skeleton(
         "oracle-check", {"cone": args.cone, "n": args.n}, args.seed
     )
     payload["report"] = {"max_deviation": worst, "n": checked, "ok": ok}
-    failures = [] if ok else [f"FAILURE: oracle deviation {worst:.3e} beyond 1e-3"]
+    failures = [] if ok else [f"FAILURE: oracle deviation {worst:.3e} beyond {ORACLE_GATE:g}"]
     payload["failures"] = failures
     return _emit(args, payload, failures)
 
@@ -336,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("problem", help="registry name or JSON problem file")
     sp.add_argument("--x0", type=str, default=None, help="comma-separated start point")
     sp.add_argument("--lam0", type=str, default=None, help="comma-separated start multiplier")
-    sp.add_argument("--max-iters", type=int, default=50)
-    sp.add_argument("--delta", type=float, default=1.0, help="localization radius")
-    sp.add_argument("--tol", type=float, default=1e-12, help="KKT residual stopping tolerance")
+    sp.add_argument("--max-iters", type=int, default=sqp.SQPConfig.max_iters)
+    sp.add_argument("--delta", type=float, default=sqp.SQPConfig.delta, help="localization radius")
+    sp.add_argument("--tol", type=float, default=sqp.SQPConfig.stop_tol,
+                    help="KKT residual stopping tolerance")
     common(sp)
     sp.set_defaults(func=_cmd_solve)
 
@@ -350,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("probe-calmness", help="perturbed-KKT distance-ratio profile")
     point(sp)
-    sp.add_argument("--samples", type=int, default=8, help="random directions per radius")
+    sp.add_argument("--samples", type=int, default=diagnostics.DiagnosticsConfig.probe_samples,
+                    help="random directions per radius")
     common(sp)
     sp.set_defaults(func=_cmd_probe)
 

@@ -1,11 +1,10 @@
 """Geometry kernel for products of zero / orthant / second-order cone blocks.
 
-Provides Euclidean projections, normal- and tangent-cone membership tests,
+Provides Euclidean projections, cone membership, the normal cone's faces,
 the critical cone ``K(y, lam) = T(y) ∩ {lam}^⊥`` with an explicit facial
 description, the closed-form second subderivative of the cone's indicator
-at ``(y, lam)``, the graphical derivative of the normal-cone map, and a
-difference-quotient oracle that estimates the second subderivative
-numerically without using any of the closed forms.
+at ``(y, lam)``, and a difference-quotient oracle that estimates the second
+subderivative numerically without using any of the closed forms.
 
 Conventions.  A second-order block of dimension ``d`` is
 ``{(zbar, z_d) : ||zbar|| <= z_d}`` (last coordinate is the axis).  At a
@@ -22,16 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tolerances import CONE_TOL, NORM_FLOOR, ORACLE_FEAS_EPS
+
 ZERO = "zero"
 ORTHANT = "orthant"
 SOC = "soc"
 
 _KINDS = (ZERO, ORTHANT, SOC)
-
-# The one tolerance of the tests no caller tunes.  ``contains``,
-# ``critical_cone``, ``CriticalCone.contains`` and ``proto_derivative_contains``
-# default to it and take their own, for callers that decide at another.
-_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,7 @@ def distance(cone: ConeSpec, y: np.ndarray) -> float:
     return float(np.linalg.norm(y - project(cone, y)))
 
 
-def contains(cone: ConeSpec, y: np.ndarray, tol: float = _TOL) -> bool:
+def contains(cone: ConeSpec, y: np.ndarray, tol: float = CONE_TOL) -> bool:
     y = _check_dim(cone, y, "y")
     scale = 1.0 + float(np.linalg.norm(y))
     return distance(cone, y) <= tol * scale
@@ -321,48 +317,6 @@ def normal_cone_basis(cone: ConeSpec, y: np.ndarray, tol: float) -> tuple[np.nda
                 nonpos.append(len(cols))
                 cols.append(col)
     return np.array(cols).T.reshape(m, len(cols)), nonpos
-
-
-def tangent_cone_contains(cone: ConeSpec, y: np.ndarray, w: np.ndarray) -> bool:
-    """Closed-form blockwise tangent-cone membership test."""
-    y = _check_dim(cone, y, "y")
-    w = _check_dim(cone, w, "w")
-    wscale = 1.0 + float(np.linalg.norm(w))
-    yscale = 1.0 + float(np.linalg.norm(y))
-    for block, sl in cone.slices():
-        yb, wb = y[sl], w[sl]
-        if block.kind == ZERO:
-            if np.any(np.abs(wb) > _TOL * wscale):
-                return False
-        elif block.kind == ORTHANT:
-            active = yb <= _TOL * yscale
-            if np.any(wb[active] < -_TOL * wscale):
-                return False
-        else:
-            case = _soc_case(yb, _TOL)
-            if case == "interior":
-                continue
-            if case == "apex":
-                r = float(np.linalg.norm(wb[:-1]))
-                if r > wb[-1] + _TOL * wscale:
-                    return False
-            else:
-                a = _soc_boundary_normal(yb)
-                if float(a @ wb) > _TOL * wscale:
-                    return False
-    return True
-
-
-def critical_cone_contains(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, w: np.ndarray) -> bool:
-    """True iff w is tangent at y and orthogonal to the normal vector lam."""
-    y = _check_dim(cone, y, "y")
-    lam = _check_dim(cone, lam, "lam")
-    w = _check_dim(cone, w, "w")
-    _require_normal(cone, y, lam, _TOL)
-    if not tangent_cone_contains(cone, y, w):
-        return False
-    bound = _TOL * (1.0 + float(np.linalg.norm(lam)) * float(np.linalg.norm(w)))
-    return abs(float(lam @ w)) <= bound
 
 
 # Facial description of one block's critical cone, in block coordinates.
@@ -446,13 +400,13 @@ class CriticalCone:
     eq: np.ndarray = field(repr=False)    # (p, m): eq @ w == 0 on K
     ineq: np.ndarray = field(repr=False)  # (q, m): ineq @ w <= 0 on K
     soc_block_slices: tuple[slice, ...] = ()  # non-polyhedral blocks (kind "soc")
-    tol: float = _TOL  # which faces count as active
+    tol: float = CONE_TOL  # which faces count as active
 
     @property
     def is_polyhedral(self) -> bool:
         return not self.soc_block_slices
 
-    def contains(self, w: np.ndarray, tol: float = _TOL) -> bool:
+    def contains(self, w: np.ndarray, tol: float = CONE_TOL) -> bool:
         w = _check_dim(self.cone, w, "w")
         scale = 1.0 + float(np.linalg.norm(w))
         if self.eq.size and np.any(np.abs(self.eq @ w) > tol * scale):
@@ -501,7 +455,7 @@ class CriticalCone:
         )
 
 
-def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = _TOL) -> CriticalCone:
+def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = CONE_TOL) -> CriticalCone:
     y = _check_dim(cone, y, "y")
     lam = _check_dim(cone, lam, "lam")
     _require_normal(cone, y, lam, tol)
@@ -568,7 +522,7 @@ def critical_cone(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, tol: float = _
 
 
 # ---------------------------------------------------------------------------
-# Second subderivative of the indicator and the normal-cone proto-derivative
+# Second subderivative of the indicator
 
 
 def second_subderivative(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, w: np.ndarray) -> float:
@@ -585,31 +539,6 @@ def second_subderivative(cone: ConeSpec, y: np.ndarray, lam: np.ndarray, w: np.n
         return math.inf
     H = K.curvature_matrix()
     return float(w @ H @ w)
-
-
-def proto_derivative_contains(
-    cone: ConeSpec,
-    y: np.ndarray,
-    lam: np.ndarray,
-    w: np.ndarray,
-    u: np.ndarray,
-    tol: float = _TOL,
-) -> bool:
-    """Membership test for the graphical derivative of the normal-cone map.
-
-    Tests ``u ∈ Hw + N_K(w)`` with H the curvature form of the second
-    subderivative and K the critical cone at (y, lam); equivalently, u is a
-    subgradient of half the second subderivative at w.  Returns False when
-    w lies outside K (empty subdifferential there).
-    """
-    K = critical_cone(cone, y, lam, tol)
-    w = _check_dim(cone, w, "w")
-    u = _check_dim(cone, u, "u")
-    if not K.contains(w, tol):
-        return False
-    residual = K.normal_cone_residual(w, u - K.curvature_matrix() @ w)
-    scale = 1.0 + float(np.linalg.norm(w)) + float(np.linalg.norm(u))
-    return residual <= tol * scale
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +559,7 @@ _REFINE_POINTS = 11
 # A refinement level holds several arrays of _REFINE_POINTS**d points by d
 # coordinates: about 0.1 GB each at d = 6 and 1.1 GB at d = 7.
 _ORACLE_MAX_DIM = 6
-# Membership is decided at roundoff scale relative to the magnitudes entering
-# each coordinate of y + t w + t^2 v, so a coordinate that is exactly zero
-# admits no slack at all (the indicator is exact there).
-_FEAS_EPS = 2e-15
+# ORACLE_FEAS_EPS gives an exactly zero coordinate of y + t w + t^2 v no slack.
 
 
 def _mesh(center: np.ndarray, radius: float, points: int, cap: float) -> np.ndarray:
@@ -664,7 +590,7 @@ def _block_inner_min(block: ConeBlock, yb, lb, wb, t: float) -> float:
         V = _mesh(center, radius, points, _RADIUS)
         pts = yb[None, :] + t * wb[None, :] + t * t * V
         mags = np.abs(yb)[None, :] + t * np.abs(wb)[None, :] + t * t * np.abs(V)
-        feas = _block_feasible(block.kind, pts, mags, _FEAS_EPS)
+        feas = _block_feasible(block.kind, pts, mags, ORACLE_FEAS_EPS)
         if not np.any(feas):
             if level == 0:
                 return math.inf
@@ -753,7 +679,7 @@ def sample_boundary_pair(
                     y[sl][:-1] = ybar / nrm * rng.uniform(0.0, 0.8) * y[sl.stop - 1]
             elif mode == 1:  # boundary, possibly degenerate multiplier
                 ybar = rng.normal(size=d - 1)
-                ybar /= max(np.linalg.norm(ybar), 1e-12)
+                ybar /= max(np.linalg.norm(ybar), NORM_FLOOR)
                 ym = rng.uniform(0.5, 2.0)
                 y[sl][:-1] = ym * ybar
                 y[sl.stop - 1] = ym

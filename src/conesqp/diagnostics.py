@@ -37,6 +37,12 @@ from .cones import CriticalCone
 from .polyhedra import BudgetExceeded, Polyhedron
 from .problem import KKTPair, LagrangianData, MultiplierSetAnalysis, ProblemSpec
 from .subproblem import damped_newton, row_norms
+from .tolerances import (
+    CONE_TOL, CRITICAL_DIRECTION_TOL, FACE_TOL, GENERATOR_APEX, GROWTH_FLOOR, KKT_GATE, LIPSCHITZ_FLOOR,
+    NORM_FLOOR, PROBE_ACCEPT, PROBE_DEDUPE, PROBE_NEWTON_TOL, PROBE_PATTERN_TOL, PROBE_RADII,
+    PROBE_RESIDUAL, PROBE_SIGN_SLACK, SCREEN, SRCQ_SAMPLED_POLAR, SRCQ_WITNESS_TOL, SSOC_THRESHOLD,
+    WITNESS_FLOOR, WITNESS_TOL,
+)
 
 CALM = "Calm"
 INCONCLUSIVE = "Inconclusive"
@@ -45,12 +51,8 @@ PROBE_BOUNDED = "bounded"
 PROBE_DIVERGING = "diverging"
 PROBE_INDETERMINATE = "indeterminate"
 
-_SSOC_THRESHOLD = 1e-8
 _FACE_BUDGET = 14  # at most 2**_FACE_BUDGET face patterns
-_SCREEN = 1e-6  # the noncriticality screen's margin, far above the 1e-9 tolerances
-_TOL = 1e-8  # KKT gate
 _SAMPLE_COUNT = 100  # safety-net samples for non-polyhedral searches
-PROBE_RADII = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _PROBE_BALL = 0.5  # probe solutions farther than this from the point are ignored
 
 
@@ -76,7 +78,7 @@ class SSOCResult:
 
     @property
     def holds(self) -> bool:
-        return self.min_value > _SSOC_THRESHOLD
+        return self.min_value > SSOC_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -141,12 +143,12 @@ def _gate(p: ProblemSpec, z: KKTPair) -> tuple[LagrangianData, CriticalCone]:
     """
     data, res = problem_mod.evaluate(p, z)
     scale = 1.0 + float(np.linalg.norm(z.lam))
-    if not res.total <= _TOL * scale:  # a NaN residual fails too
+    if not res.total <= KKT_GATE * scale:  # a NaN residual fails too
         raise ValueError(
-            f"point is not a KKT solution: residual {res.total:.3e} exceeds gate {_TOL * scale:.3e}"
+            f"point is not a KKT solution: residual {res.total:.3e} exceeds gate {KKT_GATE * scale:.3e}"
         )
     try:
-        K = cones.critical_cone(p.cone, data.f_val, z.lam, problem_mod.FACE_TOL)
+        K = cones.critical_cone(p.cone, data.f_val, z.lam, FACE_TOL)
     except ValueError as exc:
         raise ValueError(f"point is not a KKT solution: {exc}") from exc
     return data, K
@@ -192,13 +194,13 @@ def _face_walk(Q, EJ, GJ, n):
     give the SSOC minimum.  Returns that ``SSOCResult`` and, in walk order,
     the S that the noncriticality screen cannot clear: on ``w = B_S t`` the
     pattern's stationarity row reads ``R_S t = 0``, so a face whose rank
-    margin and every ``|eig R_S|`` clear ``_SCREEN`` has only w = 0.  No basis
+    margin and every ``|eig R_S|`` clear ``SCREEN`` has only w = 0.  No basis
     or eigenvector outlives its face."""
     q = GJ.shape[0]
     best = math.inf
     witness = None
     searched = []
-    screen = _SCREEN * (1.0 + float(np.max(np.abs(Q))))
+    screen = SCREEN * (1.0 + float(np.max(np.abs(Q))))
     for r in range(q + 1):
         for S in combinations(range(q), r):
             rows = np.vstack([EJ, GJ[list(S)]]) if (EJ.size or S) else np.zeros((0, n))
@@ -211,11 +213,11 @@ def _face_walk(Q, EJ, GJ, n):
                 w = B @ v
                 for s in (1.0, -1.0):
                     cand = s * w
-                    if q == 0 or np.all(GJ @ cand <= 1e-9):
+                    if q == 0 or np.all(GJ @ cand <= CRITICAL_DIRECTION_TOL):
                         best = float(theta)
                         witness = cand
                         break
-            if not (margin > _SCREEN and all(abs(t) > screen for t in vals.tolist())):
+            if not (margin > SCREEN and all(abs(t) > screen for t in vals.tolist())):
                 searched.append(S)
     return SSOCResult(best, witness, conclusive=True), searched
 
@@ -234,21 +236,25 @@ def _ssoc_sampled(Q, E, G, K: CriticalCone, J, n, cfg: DiagnosticsConfig) -> SSO
         return SSOCResult(math.inf, None, conclusive=True)  # only w = 0 is critical
     best = math.inf
     witness = None
-    for _ in range(50 * _SAMPLE_COUNT):
-        t = rng.normal(size=B.shape[1])
-        w = B @ t
-        nrm = float(np.linalg.norm(w))
-        if nrm < 1e-12:
+    for w in _unit_samples(B, rng, 50 * _SAMPLE_COUNT):
+        if G.shape[0] and np.any(G @ w > CRITICAL_DIRECTION_TOL):
             continue
-        w /= nrm
-        if G.shape[0] and np.any(G @ w > 1e-9):
-            continue
-        if not K.contains(J @ w, tol=1e-9):
+        if not K.contains(J @ w, tol=CRITICAL_DIRECTION_TOL):
             continue
         val = float(w @ Q @ w)
         if val < best:
             best, witness = val, w
     return SSOCResult(best, witness, conclusive=False)
+
+
+def _unit_samples(B, rng, count: int):
+    """``B t / ||B t||`` for each of ``count`` Gaussian draws t, drawn as
+    they are asked for; a draw shorter than ``NORM_FLOOR`` gives nothing."""
+    for _ in range(count):
+        w = B @ rng.normal(size=B.shape[1])
+        nrm = float(np.linalg.norm(w))
+        if not nrm < NORM_FLOOR:
+            yield w / nrm
 
 
 # ---------------------------------------------------------------------------
@@ -347,39 +353,39 @@ def _noncrit_face_search(p, data, K: CriticalCone, Q, J, Hc, faces):
     return None
 
 
-def _verify_critical_witness(data, K: CriticalCone, J, w, u, tol: float = 1e-9) -> bool:
+def _verify_critical_witness(data, K: CriticalCone, J, w, u) -> bool:
     scale = 1.0 + float(np.linalg.norm(w)) + float(np.linalg.norm(u))
-    if float(np.linalg.norm(w)) <= 1e-7:
+    if float(np.linalg.norm(w)) <= WITNESS_FLOOR:
         return False
-    if float(np.linalg.norm(data.hess_xx @ w + J.T @ u)) > tol * scale:
+    if float(np.linalg.norm(data.hess_xx @ w + J.T @ u)) > WITNESS_TOL * scale:
         return False
     v = J @ w
-    if not K.contains(v, tol):
+    if not K.contains(v, WITNESS_TOL):
         return False
-    return K.normal_cone_residual(v, u - K.curvature_matrix() @ v) <= tol * scale
+    return K.normal_cone_residual(v, u - K.curvature_matrix() @ v) <= WITNESS_TOL * scale
 
 
-def _normal_cone_generators(K: CriticalCone, v: np.ndarray, rng, tol=1e-8):
+def _normal_cone_generators(K: CriticalCone, v: np.ndarray, rng):
     """Generators (free part, nonneg part) of N_K(v), built from the local
     active structure; apex second-order blocks get sampled polar rays."""
     m = K.cone.total_dim
     free_rows = [row for row in K.eq]
-    nonneg_rows = [row for row in K.ineq if abs(float(row @ v)) <= tol * (1 + np.linalg.norm(v))]
+    nonneg_rows = [row for row in K.ineq if abs(float(row @ v)) <= CONE_TOL * (1 + np.linalg.norm(v))]
     for sl in K.soc_block_slices:
         vb = v[sl]
         d = sl.stop - sl.start
         nb = float(np.linalg.norm(vb))
-        if nb <= tol:
+        if nb <= GENERATOR_APEX:
             for _ in range(8):  # sampled polar rays at the apex
                 g = rng.normal(size=d - 1)
-                g /= max(np.linalg.norm(g), 1e-12)
+                g /= max(np.linalg.norm(g), NORM_FLOOR)
                 row = np.zeros(m)
                 row[sl.start : sl.stop - 1] = g
                 row[sl.stop - 1] = -1.0
                 nonneg_rows.append(row)
-        elif float(np.linalg.norm(vb[:-1])) >= vb[-1] - tol * (1 + nb):
+        elif float(np.linalg.norm(vb[:-1])) >= vb[-1] - CONE_TOL * (1 + nb):
             row = np.zeros(m)
-            row[sl.start : sl.stop - 1] = vb[:-1] / max(np.linalg.norm(vb[:-1]), 1e-12)
+            row[sl.start : sl.stop - 1] = vb[:-1] / max(np.linalg.norm(vb[:-1]), NORM_FLOOR)
             row[sl.stop - 1] = -1.0
             nonneg_rows.append(row)
     free = np.array(free_rows).reshape(-1, m)
@@ -394,14 +400,9 @@ def _noncrit_sampled(p, data, K: CriticalCone, Q, J, Hc, cfg: DiagnosticsConfig)
     B = polyhedra.null_basis(E, p.n)
     if B.shape[1] == 0:
         return None
-    for _ in range(_SAMPLE_COUNT):
-        w = B @ rng.normal(size=B.shape[1])
-        nrm = float(np.linalg.norm(w))
-        if nrm < 1e-12:
-            continue
-        w /= nrm
+    for w in _unit_samples(B, rng, _SAMPLE_COUNT):
         v = J @ w
-        if not K.contains(v, tol=1e-9):
+        if not K.contains(v, tol=CRITICAL_DIRECTION_TOL):
             continue
         free, nonneg = _normal_cone_generators(K, v, rng)
         gen = np.vstack([free, nonneg]).T  # m x (p + q)
@@ -417,7 +418,7 @@ def _noncrit_sampled(p, data, K: CriticalCone, Q, J, Hc, cfg: DiagnosticsConfig)
         for _ in range(300):  # clipped projected gradient enforces signs
             coef[nfree:] = np.maximum(coef[nfree:], 0.0)
             grad = M.T @ (M @ coef - target)
-            lip = max(float(np.linalg.norm(M, 2)) ** 2, 1e-9)
+            lip = max(float(np.linalg.norm(M, 2)) ** 2, LIPSCHITZ_FLOOR)
             coef = coef - grad / lip
         coef[nfree:] = np.maximum(coef[nfree:], 0.0)
         u = Hc @ v + gen @ coef
@@ -477,27 +478,22 @@ def _srcq(
     return SRCQResult(True, "face enumeration exhausted", None, True, _srcq_primal(p, K, J))
 
 
-def _verify_srcq_witness(K: CriticalCone, J, u, tol: float = 1e-8) -> bool:
+def _verify_srcq_witness(K: CriticalCone, J, u) -> bool:
     nrm = float(np.linalg.norm(u))
-    if nrm <= 1e-7:
+    if nrm <= WITNESS_FLOOR:
         return False
     u = u / nrm
     # u in the polar of K iff the projection of u onto K vanishes
     return (
-        float(np.linalg.norm(K.project(u))) <= tol
-        and float(np.linalg.norm(J.T @ u)) <= tol
+        float(np.linalg.norm(K.project(u))) <= SRCQ_WITNESS_TOL
+        and float(np.linalg.norm(J.T @ u)) <= SRCQ_WITNESS_TOL
     )
 
 
 def _srcq_sampled(K: CriticalCone, B, cfg: DiagnosticsConfig):
     rng = np.random.default_rng(cfg.seed + 2)
-    for _ in range(50 * _SAMPLE_COUNT):
-        u = B @ rng.normal(size=B.shape[1])
-        nrm = float(np.linalg.norm(u))
-        if nrm < 1e-12:
-            continue
-        u /= nrm
-        if float(np.linalg.norm(K.project(u))) <= 1e-9:
+    for u in _unit_samples(B, rng, 50 * _SAMPLE_COUNT):
+        if float(np.linalg.norm(K.project(u))) <= SRCQ_SAMPLED_POLAR:
             return u
     return None
 
@@ -574,19 +570,19 @@ def _perturbed_residual(p: ProblemSpec, x, lam, v, w, kkt=None):
     return row_norms(r1) + row_norms(r2) + row_norms(y - cones.project(p.cone, y))
 
 
-def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, active=None, max_iters=60):
-    """Damped semismooth Newton, in lockstep, on tilt/shift perturbed KKT
-    residuals: the start ``(x0[b], lam0[b])`` solves the system perturbed by
-    ``(v[b], w[b])`` on ``p.cone`` to ``1e-13``; a singular row takes ``lstsq``.
+def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, active=None):
+    """Damped semismooth Newton (60 steps), in lockstep, on tilt/shift
+    perturbed KKT residuals: the start ``(x0[b], lam0[b])`` solves the system
+    perturbed by ``(v[b], w[b])`` on ``p.cone``; a singular row takes ``lstsq``.
     With a list ``active`` it solves the pattern system instead: the active
     rows are equalities (the zero cone), ``lam0`` holds their multipliers and
-    the others are 0, the tolerance is ``1e-12`` and a singular row stops
-    where it stands.  Returns ``(x, lam, ||F||)`` with every multiplier."""
+    the others are 0, and a singular row stops where it stands.  Returns
+    ``(x, lam, ||F||)`` with every multiplier."""
     if active is None:
-        cone, active_rows, tol = p.cone, slice(None), 1e-13
+        cone, active_rows, tol = p.cone, slice(None), PROBE_NEWTON_TOL
     else:
         cone = cones.zero(len(active)) if active else cones.ConeSpec(())
-        active_rows, tol = active, 1e-12
+        active_rows, tol = active, PROBE_PATTERN_TOL
 
     def full(lam):  # every multiplier, 0 off the rows solved for
         out = np.zeros((len(lam), p.m))
@@ -602,8 +598,7 @@ def _newton_perturbed(p: ProblemSpec, x0, lam0, v, w, active=None, max_iters=60)
         data = problem_mod.lagrangian_data(p, KKTPair(x, full(lam)))
         return data.hess_xx, data.jac_f[:, active_rows], (data.f_val + w[rows])[:, active_rows]
 
-    x, lam, res = damped_newton(cone, residual, linearize, x0, lam0, tol, max_iters,
-                                lstsq=active is None)
+    x, lam, res = damped_newton(cone, residual, linearize, x0, lam0, tol, 60, lstsq=active is None)
     return x, full(lam), res
 
 
@@ -619,12 +614,12 @@ def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
     for k, (_, active, orth_active, inactive) in enumerate(patterns):
         lam0 = np.repeat(z.lam[None, active], len(v), axis=0)
         x, lam, res = _newton_perturbed(p, x0, lam0, v, w, active)
-        i = np.flatnonzero(res <= 1e-12)
+        i = np.flatnonzero(res <= PROBE_PATTERN_TOL)
         kkt = _perturbed_kkt(p, x[i], lam[i], v[i], w[i])
-        slack = 1e-9 * (1.0 + row_norms(lam[i]))[:, None]  # the signs of cones.pattern_signs_ok
+        slack = PROBE_SIGN_SLACK * (1.0 + row_norms(lam[i]))[:, None]  # cones.pattern_signs_ok's signs
         i = i[~np.any(lam[i][:, orth_active] > slack, axis=1)
               & ~np.any(kkt[1][:, inactive] < -slack, axis=1)
-              & (_perturbed_residual(p, x[i], lam[i], v[i], w[i], kkt) <= 1e-8)]
+              & (_perturbed_residual(p, x[i], lam[i], v[i], w[i], kkt) <= PROBE_RESIDUAL)]
         sols[i, k], ok[i, k] = np.concatenate([x[i], lam[i]], axis=1), True
     return sols, ok
 
@@ -648,12 +643,12 @@ def _solve_perturbed(p: ProblemSpec, z: KKTPair, v, w, seeds):
     pat, ok = _pattern_solutions(p, z, v, w)
     # res bounds both residual parts, and dist(y) <= ||r2|| because
     # proj(y + lam) lies in the cone: _perturbed_residual is at most 3 res
-    conv = (res <= 1e-9).reshape(len(v), 5)
+    conv = (res <= PROBE_ACCEPT).reshape(len(v), 5)
     found = np.concatenate([x, lam], axis=1).reshape(len(v), 5, -1)
     sols = np.concatenate([pat, np.where(conv[:, :, None], found, 0.0)], axis=1)
     kept = np.concatenate([ok, conv], axis=1)
     for k in range(1, sols.shape[1]):
-        near = row_norms(sols[:, :k] - sols[:, k : k + 1]) <= 1e-9
+        near = row_norms(sols[:, :k] - sols[:, k : k + 1]) <= PROBE_DEDUPE
         kept[:, k] &= ~np.any(kept[:, :k] & near, axis=1)
     return sols, kept
 
@@ -695,10 +690,10 @@ def probe_isolated_calmness(
 
 def _classify_profile(samples: list[RadiusSample]):
     by_radius = {s.radius: s.max_ratio for s in samples}
-    big, small = by_radius[1e-2], by_radius[1e-6]
+    big, small = by_radius[PROBE_RADII[1]], by_radius[PROBE_RADII[-1]]
     if big == 0.0 and small == 0.0:
         return PROBE_BOUNDED, 1.0
-    growth = small / max(big, 1e-300)
+    growth = small / max(big, GROWTH_FLOOR)
     if growth <= 3.0:
         return PROBE_BOUNDED, growth
     if growth >= 10.0:

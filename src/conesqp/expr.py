@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import DIV_FLOOR
+
 
 class ParseError(ValueError):
     """Raised on malformed expression text; carries the offending position."""
@@ -283,8 +285,6 @@ def _fmt(node: Node, parent_prec: int) -> str:
 # ---------------------------------------------------------------------------
 # Forward-mode evaluation with gradient and Hessian, on a tape
 
-_DIV_FLOOR = 1e-300
-
 # An instruction ``(op, a, b)`` appends ``op(r[a], r[b])`` to the registers
 # ``r``: the constants, then the inputs x1..xn, then one per instruction.
 _MUL, _ADD, _SUB, _DIV, _POW = range(5)
@@ -431,7 +431,7 @@ class _Tape:
         except ZeroDivisionError:
             raise EvalError("division by zero") from None
         for c in self.checks:
-            if abs(r[c]) < _DIV_FLOOR:
+            if abs(r[c]) < DIV_FLOOR:
                 raise EvalError("division by zero")
         if self.finite is not None:
             runtime = r[self.finite]
@@ -455,7 +455,7 @@ class _Tape:
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero denominator is refused below
             _run(self.grad_code, r)
         for c in self.checks:
-            if (abs(r[c]) < _DIV_FLOOR).any():
+            if (abs(r[c]) < DIV_FLOOR).any():
                 raise EvalError("division by zero")
         inexact = None
         if self.finite is not None:
@@ -572,7 +572,7 @@ class _Builder:
         """The denominator ``b`` must be nonzero: now for a constant, at run time otherwise."""
         if type(b) is int:
             self.checks.append(b)
-        elif abs(b) < _DIV_FLOOR:
+        elif abs(b) < DIV_FLOOR:
             raise EvalError("division by zero")
 
     def zeros(self, size: int) -> dict:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_TOL = 1e-9
+from .tolerances import ELIMINATION_TOL, SVD_RANK_CUT
+
 _DEDUP_DECIMALS = 10
 _ROW_BUDGET = 50_000  # rows one elimination step may create
 
@@ -47,12 +48,13 @@ class Polyhedron:
     b: np.ndarray | None
 
     @staticmethod
-    def build(dim: int, a_ub=None, b_ub=None, a_eq=None, b_eq=None, tol: float = _TOL) -> "Polyhedron":
+    def build(dim: int, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+              tol: float = ELIMINATION_TOL) -> "Polyhedron":
         b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, float).reshape(-1)
         return Polyhedron.build_each(dim, a_ub, b_ub, a_eq, b_eq[:, None], tol)[0]
 
     @staticmethod
-    def build_each(dim: int, a_ub, b_ub, a_eq, b_eqs, tol: float = _TOL) -> list["Polyhedron"]:
+    def build_each(dim: int, a_ub, b_ub, a_eq, b_eqs, tol: float = ELIMINATION_TOL) -> list["Polyhedron"]:
         """One polyhedron per column of ``b_eqs``, the equalities reduced once;
         each is bit for bit the one ``build`` makes from its column."""
         def rows(mat):
@@ -299,7 +301,7 @@ def null_basis(rows: np.ndarray, dim: int, margin: bool = False):
         return (np.eye(dim), np.inf) if margin else np.eye(dim)
     _, s, vt = np.linalg.svd(rows, full_matrices=True)
     scale = max(float(s[0]) if s.size else 1.0, 1.0)
-    rank = int(np.sum(s > 1e-10 * scale))
+    rank = int(np.sum(s > SVD_RANK_CUT * scale))
     if margin:
         return vt[rank:].T, float(s[rank - 1]) / scale if rank else np.inf
     return vt[rank:].T

@@ -17,9 +17,7 @@ from . import cones, expr, polyhedra
 from .cones import ConeSpec
 from .expr import ExprAST
 from .polyhedra import BudgetExceeded, Polyhedron
-
-STATIONARITY_TOL = 1e-8
-FACE_TOL = 1e-7  # which coordinates and second-order blocks count as active
+from .tolerances import FACE_TOL, STATIONARITY_TOL, UNIQUE_WIDTH
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ def _multipliers_of(
         if v0 is None:
             return MultiplierSetAnalysis("exact", False, False, None, None, "no multiplier exists")
         box = []
-        width_tol = 1e-9 * (1.0 + float(np.linalg.norm(B @ v0)))
+        width_tol = UNIQUE_WIDTH * (1.0 + float(np.linalg.norm(B @ v0)))
         unique = True
         for i in range(p.m):
             rng = polyhedra.functional_range(poly, B[i])

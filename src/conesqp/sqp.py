@@ -24,6 +24,7 @@ from .subproblem import (
     SubproblemData,
     solve_subproblem,
 )
+from .tolerances import RATE_ZERO_FLOOR, SQP_STOP_TOL
 
 CONVERGED = "Converged"
 SOLVABILITY_FAILURE = "SolvabilityFailure"
@@ -43,7 +44,7 @@ class InsufficientData(ValueError):
 @dataclass(frozen=True)
 class SQPConfig:
     max_iters: int = 50
-    stop_tol: float = 1e-12
+    stop_tol: float = SQP_STOP_TOL
     delta: float = 1.0  # localization radius for primal-dual steps
     seed: int = 0
 
@@ -158,7 +159,7 @@ def estimate_rate(errors) -> RateEstimate:
     errors = [float(e) for e in errors]
     if any(e < 0 for e in errors):
         raise ValueError("errors must be nonnegative")
-    floor = 1e-13 * (1.0 + max(errors, default=0.0))
+    floor = RATE_ZERO_FLOOR * (1.0 + max(errors, default=0.0))
     pos = list(errors)
     terminal_zeros = 0
     while pos and pos[-1] <= floor:

@@ -37,6 +37,11 @@ from . import cones, polyhedra
 from .cones import ConeSpec
 from .expr import EvalError
 from .polyhedra import BudgetExceeded, Polyhedron
+from .tolerances import (
+    ADMM_LOOSE_TOL, ADMM_TIGHT_TOL, ARMIJO, CHOLESKY_SHIFT, DESCENT_SLACK, ENUM_DEDUPE, NEWTON_DEDUPE,
+    NEWTON_STOP, PSD_SLACK, RAY_CONE_TOL, RAY_CURVATURE, RAY_NORM_FLOOR, RAY_PULLBACK_TOL,
+    SAMPLED_RAY_CURVATURE, SIGN_SLACK, SUBPROBLEM_TOL, SYMMETRY_TOL,
+)
 
 KKT_POINT = "KKTPoint"
 NO_KKT_POINT = "NoKKTPoint"
@@ -48,14 +53,11 @@ ENGINE_ENUMERATION = "Enumeration"
 ENGINE_NEWTON = "SemismoothNewton"
 ENGINE_SPLITTING = "Splitting"
 
-_TOL = 1e-9  # accepted KKT residual, relative to SubproblemData.scale
-_SIGN_SLACK = 1e-10  # enumeration sign checks, relative to SubproblemData.scale
 _N_STARTS = 50
 _NEWTON_MAX_ITERS = 100
 _ADMM_RHO = 1.0
 _ADMM_MAX_ITERS = 20_000
 _ADMM_RELAX = 1.6  # over-relaxation factor alpha (OSQP, Stellato et al. 2020, sec. 3.3)
-_ADMM_LOOSE_TOL = 1e-6  # ADMM residuals, relative to SubproblemData.scale, of the first polish
 _RAY_TRIES = 512  # sampled descent-ray candidates of each kind
 _ARMIJO_STEPS = 0.5 ** np.arange(30)  # damped Newton step lengths, in order
 
@@ -78,7 +80,7 @@ class SubproblemData:
         for name, nrm in zip("HgAc", norms):
             if not np.isfinite(nrm):
                 raise ValueError(f"subproblem {name} is not finite: its norm is {nrm}")
-        if np.max(np.abs(H - H.T), initial=0.0) > 1e-12 * (1.0 + np.max(np.abs(H), initial=0.0)):
+        if np.max(np.abs(H - H.T), initial=0.0) > SYMMETRY_TOL * (1.0 + np.max(np.abs(H), initial=0.0)):
             raise ValueError("H must be symmetric")
         for name, arr in zip("HgAc", (0.5 * (H + H.T), g, A, c)):
             object.__setattr__(self, name, arr)
@@ -143,7 +145,7 @@ def enumerate_kkt_points(data: SubproblemData, hint_lam: np.ndarray | None = Non
         raise BudgetExceeded(f"enumeration limited to {cones.PATTERN_BUDGET} orthant coordinates")
     n, m = data.n, data.m
     scale = data.scale
-    slack = _SIGN_SLACK * scale
+    slack = SIGN_SLACK * scale
     found: list[tuple[int, np.ndarray, np.ndarray]] = []
     for bits, active, orth_active, inactive in cones.active_patterns(data.cone, hint_lam):
         na = len(active)
@@ -154,7 +156,7 @@ def enumerate_kkt_points(data: SubproblemData, hint_lam: np.ndarray | None = Non
             M[n:, :n] = data.A[active]
         rhs = np.concatenate([-data.g, -data.c[active]])
         sol, _, rank, _ = np.linalg.lstsq(M, rhs, rcond=None)
-        if float(np.linalg.norm(M @ sol - rhs)) > 1e-9 * scale:
+        if float(np.linalg.norm(M @ sol - rhs)) > SUBPROBLEM_TOL * scale:
             continue  # pattern system inconsistent
         if rank < n + na:
             sol = _resolve_degenerate_pattern(data, M, sol, orth_active, inactive, slack)
@@ -166,13 +168,13 @@ def enumerate_kkt_points(data: SubproblemData, hint_lam: np.ndarray | None = Non
         if not cones.pattern_signs_ok(lam, data.c + data.A @ d, orth_active, inactive, slack):
             continue
         # a full-rank pattern's c + A d lies in the cone within its residual
-        # and slack (< 2 _TOL scale); with H definite, a rank-deficient one
-        # has dependent active rows, so it is left to the full search
-        if not found and rank == n + na and _only_kkt_point(data, d, 2 * _TOL * scale):
+        # and slack (< 2 SUBPROBLEM_TOL scale); with H definite, a rank-deficient
+        # one has dependent active rows, so it is left to the full search
+        if not found and rank == n + na and _only_kkt_point(data, d, 2 * SUBPROBLEM_TOL * scale):
             return [(d, lam)]
         found.append((bits, d, lam))
     found.sort(key=lambda point: point[0])
-    return _dedupe([(d, lam) for _, d, lam in found], tol=1e-9 * scale)
+    return _dedupe([(d, lam) for _, d, lam in found], tol=ENUM_DEDUPE * scale)
 
 
 def _resolve_degenerate_pattern(data, M, sol0, orth_active, inactive, slack):
@@ -252,7 +254,7 @@ def _halved_steps(residual, x, lam, step, nrm, rows):
     scaled = _ARMIJO_STEPS[1:, None] * step[:, None, :]  # (R, K - 1, n + m)
     X = x[:, None, :] + scaled[..., :n]
     LAM = lam[:, None, :] + scaled[..., n:]
-    bounds = (1.0 - 1e-4 * _ARMIJO_STEPS[1:]) * nrm[:, None]
+    bounds = (1.0 - ARMIJO * _ARMIJO_STEPS[1:]) * nrm[:, None]
     first = np.full(R, -1)
     try:
         with np.errstate(all="ignore"):  # points a row alone may never reach
@@ -323,7 +325,7 @@ def damped_newton(cone: ConeSpec, residual, linearize, x0, lam0, tol: float, max
         x_new, lam_new = x + step[:, :n], lam + step[:, n:]
         F_new = residual(x_new, lam_new, rows)
         nrm_new = row_norms(F_new)
-        live = nrm_new < (1.0 - 1e-4) * nrm
+        live = nrm_new < (1.0 - ARMIJO) * nrm
         if np.count_nonzero(live) < len(rows):
             short = np.flatnonzero(~live)
             first, F_short = _halved_steps(residual, x[short], lam[short], step[short],
@@ -354,7 +356,7 @@ def _newton_from(data: SubproblemData, d0, lam0, max_iters: int):
     def linearize(d, lam, rows):
         return data.H, data.A, data.c + (data.A @ d[:, :, None])[:, :, 0]
 
-    tol = 1e-13 * (1.0 + float(np.linalg.norm(data.g)))
+    tol = NEWTON_STOP * (1.0 + float(np.linalg.norm(data.g)))
     d, lam, res = damped_newton(data.cone, residual, linearize, d0[None], lam0[None], tol, max_iters,
                                 lstsq=True)
     return d[0], lam[0], float(res[0])
@@ -400,7 +402,7 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
             spread = scale * 10 ** rng.uniform(-1.0, 1.0)
             yield hint_d + spread * rng.normal(size=n), hint_lam + spread * rng.normal(size=m)
 
-    tol = _TOL * scale
+    tol = SUBPROBLEM_TOL * scale
     solutions: list[tuple[np.ndarray, np.ndarray]] = []
     for d0, lam0 in starts():
         d, lam, res = _newton_from(data, d0, lam0, _NEWTON_MAX_ITERS)
@@ -410,7 +412,7 @@ def semismooth_newton_solve(data: SubproblemData, hint, seed: int):
                 break  # found the hint-adjacent solution, no need to keep searching
             if len(solutions) == 1 and _only_kkt_point(data, d, tol):
                 break  # the only KKT point: later starts can only find it again
-    return _dedupe(solutions, tol=1e-8 * scale)
+    return _dedupe(solutions, tol=NEWTON_DEDUPE * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +427,16 @@ def splitting_solve(data: SubproblemData):
     ``d = d0 + K (s - u)`` with ``K = rho M^-1 A^T``, so an iteration is
     ``y = y0 + W (s - u)`` (``W = A K``), one projection of the relaxed
     ``alpha y + (1 - alpha) s`` and the dual update.  At residuals of
-    ``_ADMM_LOOSE_TOL`` a 25-step Newton polish is tried; when its point fails
-    the KKT tolerance the iteration goes on to ``1e-11`` and polishes again."""
+    ``ADMM_LOOSE_TOL`` a 25-step Newton polish is tried; when its point fails
+    the KKT tolerance the iteration goes on to ``ADMM_TIGHT_TOL`` and polishes again."""
     eigs = np.linalg.eigvalsh(data.H)
-    if eigs.min(initial=0.0) < -1e-9 * max(1.0, abs(eigs).max(initial=1.0)):
+    if eigs.min(initial=0.0) < -PSD_SLACK * max(1.0, abs(eigs).max(initial=1.0)):
         return []
     rho, alpha = _ADMM_RHO, _ADMM_RELAX
     n, m = data.n, data.m
     M = data.H + rho * data.A.T @ data.A
     try:
-        M_chol = np.linalg.cholesky(M + 1e-14 * np.eye(n) * max(1.0, np.trace(M)))
+        M_chol = np.linalg.cholesky(M + CHOLESKY_SHIFT * np.eye(n) * max(1.0, np.trace(M)))
     except np.linalg.LinAlgError:
         return []
     # M^-1 [rho A^T, -(g + rho A^T c)] from the one factor
@@ -443,7 +445,7 @@ def splitting_solve(data: SubproblemData):
     K, d0 = sol[:, :m], sol[:, m]
     y0, W = data.c + data.A @ d0, data.A @ K
     scale = data.scale
-    tol = _TOL * scale
+    tol = SUBPROBLEM_TOL * scale
 
     def polish(s, u):
         d, lam, _ = _newton_from(data, d0 + K @ (s - u), rho * u, 25)
@@ -460,12 +462,12 @@ def splitting_solve(data: SubproblemData):
         u = u + y_relaxed - s
         primal = float(np.linalg.norm(y - s))
         dual = rho * float(np.linalg.norm(data.A.T @ (s - s_prev)))
-        if loose and primal <= _ADMM_LOOSE_TOL * scale and dual <= _ADMM_LOOSE_TOL * scale:
+        if loose and primal <= ADMM_LOOSE_TOL * scale and dual <= ADMM_LOOSE_TOL * scale:
             loose = False
             points = polish(s, u)
             if points:
                 return points
-        if primal <= 1e-11 * scale and dual <= 1e-11 * scale:
+        if primal <= ADMM_TIGHT_TOL * scale and dual <= ADMM_TIGHT_TOL * scale:
             break
     return polish(s, u)
 
@@ -511,7 +513,7 @@ def _descent_ray(data: SubproblemData, seed: int) -> np.ndarray | None:
         ray = polyhedra.feasible_point(poly)
     except BudgetExceeded:
         return None
-    if ray is not None and float(ray @ data.H @ ray) <= 1e-10 * (1.0 + float(ray @ ray)):
+    if ray is not None and float(ray @ data.H @ ray) <= RAY_CURVATURE * (1.0 + float(ray @ ray)):
         return ray
     return None
 
@@ -525,20 +527,20 @@ def _sampled_descent_ray(data: SubproblemData, seed: int) -> np.ndarray | None:
         for _ in range(_RAY_TRIES):
             s = cones.sample_point(data.cone, rng)  # pull back a cone sample
             d, *_ = np.linalg.lstsq(data.A, s, rcond=None)
-            if float(np.linalg.norm(data.A @ d - s)) <= 1e-10 * (1.0 + float(np.linalg.norm(s))):
+            if float(np.linalg.norm(data.A @ d - s)) <= RAY_PULLBACK_TOL * (1.0 + float(np.linalg.norm(s))):
                 yield d
 
     for d in candidates():
         nrm = float(np.linalg.norm(d))
-        if nrm < 1e-10:
+        if nrm < RAY_NORM_FLOOR:
             continue
         d = d / nrm
-        if float(data.g @ d) >= -1e-8:
+        if float(data.g @ d) >= -DESCENT_SLACK:
             d = -d
         if (
-            float(data.g @ d) < -1e-8
-            and float(d @ data.H @ d) <= 1e-10
-            and cones.contains(data.cone, data.A @ d, tol=1e-12)
+            float(data.g @ d) < -DESCENT_SLACK
+            and float(d @ data.H @ d) <= SAMPLED_RAY_CURVATURE
+            and cones.contains(data.cone, data.A @ d, tol=RAY_CONE_TOL)
         ):
             return d
     return None

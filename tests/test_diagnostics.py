@@ -24,6 +24,7 @@ from conesqp.diagnostics import (
 from conesqp.problem import KKTPair, ProblemSpec
 
 import face_search_reference
+import oracles
 import serial_newton
 from test_expr import random_ast
 from test_random_crosschecks import random_kkt_instance
@@ -69,6 +70,14 @@ class TestSSOC:
         assert out.min_value == pytest.approx(-1.0, abs=1e-9)
         assert abs(out.witness[0]) == pytest.approx(1.0, abs=1e-9)
         assert not out.holds
+
+    def test_eigenvector_off_the_cone_by_1e_8_is_no_witness(self):
+        # 1e-8 x1 >= 0 and -1e-8 x1 >= 0 pin w1 = 0, so the minimum is +1 at
+        # w = e2; the eigenvector e1 of -1 misses both rows by 1e-8 (unit w)
+        p = spec("tiny_rows", "-0.5*x1^2 + 0.5*x2^2", ["1e-8*x1", "-1e-8*x1"], cones.orthant(2), 2)
+        out = check_ssoc(p, KKTPair(np.zeros(2), np.zeros(2)), CFG)
+        assert out.conclusive and out.holds
+        assert out.min_value == 1.0 and abs(out.witness[1]) == 1.0
 
     def test_ex55_minimizer(self, reg):
         out = check_ssoc(reg["ex55"].problem, KKTPair([2.0], [0.0]), CFG)
@@ -136,7 +145,7 @@ class TestNoncriticality:
         p = reg["critical_toy"].problem
         data = problem.lagrangian_data(p, KKTPair([0.0], [-1.0]))
         assert np.linalg.norm(data.hess_xx @ w + data.jac_f.T @ u) <= 1e-9
-        assert cones.proto_derivative_contains(
+        assert oracles.proto_derivative_contains(
             p.cone, data.f_val, np.array([-1.0]), data.jac_f @ w, u, tol=1e-9
         )
 

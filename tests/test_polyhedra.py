@@ -36,6 +36,13 @@ def test_empty_by_inconsistent_equalities():
     assert not is_feasible(P)
 
 
+@pytest.mark.parametrize("gap, feasible", [(1e-8, False), (1e-10, True)])
+def test_an_empty_interval_is_empty_past_the_elimination_tolerance(gap, feasible):
+    # 0 <= x <= -gap: empty, but a gap within the tolerance is roundoff
+    poly = Polyhedron.build(1, a_ub=[[-1.0], [1.0]], b_ub=[0.0, -gap])
+    assert is_feasible(poly) is feasible
+
+
 def test_unbounded_line():
     P = Polyhedron.build(2, a_eq=[[1.0, -1.0]], b_eq=[0.0])
     lo, hi = functional_range(P, np.array([1.0, 0.0]))

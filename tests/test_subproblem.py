@@ -84,6 +84,20 @@ class TestEnumeration:
         near_active = solve_subproblem(data, hint=(np.array([-1.0]), np.array([-1.0])))
         assert near_active.d[0] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_signs_missed_by_1e_8_leave_no_kkt_point(self):
+        # the inactive pattern's y and the active pattern's lam are both off
+        # by 1e-8, a third of 1e-8 of the scale 3: neither is a KKT point
+        data = SubproblemData(np.array([[-1.0]]), np.array([-1.0]), np.array([[1.0]]),
+                              np.array([1.0 - 1e-8]), cones.orthant(1))
+        assert enumerate_kkt_points(data) == []
+
+    def test_two_kkt_points_1e_8_apart_stay_two(self):
+        # (d, lam) = (-1, 0), inactive, and (-1 - 1e-8, -1e-8), active
+        data = SubproblemData(np.array([[-1.0]]), np.array([-1.0]), np.array([[1.0]]),
+                              np.array([1.0 + 1e-8]), cones.orthant(1))
+        sols = sorted((float(d[0]), float(lam[0])) for d, lam in enumerate_kkt_points(data))
+        assert sols == [pytest.approx((-1.0 - 1e-8, -1e-8), abs=1e-15), (-1.0, 0.0)]
+
     def test_rejects_soc(self):
         data = SubproblemData(np.eye(2), np.zeros(2), np.eye(3)[:, :2], np.zeros(3),
                               cones.second_order(3))
@@ -269,7 +283,7 @@ class TestEngineAgreement:
             points = splitting_solve(data)
             assert len(points) == 1, trial
             d, lam = points[0]
-            assert kkt_residual(data, d, lam) <= subproblem._TOL * data.scale, trial
+            assert kkt_residual(data, d, lam) <= subproblem.SUBPROBLEM_TOL * data.scale, trial
             assert np.linalg.norm(d - d_star) <= 1e-8 * (1.0 + np.linalg.norm(d_star)), trial
 
 
@@ -350,7 +364,7 @@ class TestSplittingStops:
         assert len(starts) == 2 and len(points) == 1
         d, lam = points[0]
         assert np.allclose(d, [1.5, 0.0, 1.5], atol=1e-9)
-        assert kkt_residual(data, d, lam) <= subproblem._TOL * data.scale
+        assert kkt_residual(data, d, lam) <= subproblem.SUBPROBLEM_TOL * data.scale
         # the second polish starts from ADMM's tight stop
         assert np.linalg.norm(starts[1] - [1.5, 0.0, 1.5]) <= 1e-8
 
