@@ -38,10 +38,10 @@ from .polyhedra import BudgetExceeded, Polyhedron
 from .problem import KKTPair, LagrangianData, MultiplierSetAnalysis, ProblemSpec
 from .subproblem import damped_newton, row_norms
 from .tolerances import (
-    CONE_TOL, CRITICAL_DIRECTION_TOL, FACE_TOL, GENERATOR_APEX, GROWTH_FLOOR, KKT_GATE, LIPSCHITZ_FLOOR,
-    NORM_FLOOR, PROBE_ACCEPT, PROBE_DEDUPE, PROBE_NEWTON_TOL, PROBE_PATTERN_TOL, PROBE_RADII,
-    PROBE_RESIDUAL, PROBE_SIGN_SLACK, SCREEN, SRCQ_SAMPLED_POLAR, SRCQ_WITNESS_TOL, SSOC_THRESHOLD,
-    WITNESS_FLOOR, WITNESS_TOL,
+    CONE_TOL, CRITICAL_DIRECTION_TOL, FACE_TOL, GENERATOR_APEX, GROWTH_FLOOR, KKT_GATE,
+    LIPSCHITZ_FLOOR, NORM_FLOOR, PROBE_ACCEPT, PROBE_DEDUPE, PROBE_NEWTON_TOL, PROBE_PATTERN_TOL,
+    PROBE_RADII, PROBE_RESIDUAL, PROBE_SIGN_SLACK, SCREEN, SRCQ_SAMPLED_POLAR, SRCQ_WITNESS_TOL,
+    SSOC_THRESHOLD, WITNESS_FLOOR, WITNESS_TOL,
 )
 
 CALM = "Calm"

@@ -38,9 +38,9 @@ from .cones import ConeSpec
 from .expr import EvalError
 from .polyhedra import BudgetExceeded, Polyhedron
 from .tolerances import (
-    ADMM_LOOSE_TOL, ADMM_TIGHT_TOL, ARMIJO, CHOLESKY_SHIFT, DESCENT_SLACK, ENUM_DEDUPE, NEWTON_DEDUPE,
-    NEWTON_STOP, PSD_SLACK, RAY_CONE_TOL, RAY_CURVATURE, RAY_NORM_FLOOR, RAY_PULLBACK_TOL,
-    SAMPLED_RAY_CURVATURE, SIGN_SLACK, SUBPROBLEM_TOL, SYMMETRY_TOL,
+    ADMM_LOOSE_TOL, ADMM_TIGHT_TOL, ARMIJO, CHOLESKY_SHIFT, DESCENT_SLACK, ENUM_DEDUPE,
+    NEWTON_DEDUPE, NEWTON_STOP, PSD_SLACK, RAY_CONE_TOL, RAY_CURVATURE, RAY_NORM_FLOOR,
+    RAY_PULLBACK_TOL, SAMPLED_RAY_CURVATURE, SIGN_SLACK, SUBPROBLEM_TOL, SYMMETRY_TOL,
 )
 
 KKT_POINT = "KKTPoint"

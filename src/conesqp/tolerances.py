@@ -7,7 +7,7 @@ tests/test_tolerances.py keeps float literals below 1e-2 out of the rest."""
 CONE_TOL = 1e-8  # cones' default; faces of sampled directions; rel. 1 + ||y||
 FACE_TOL = 1e-7  # the critical cone at a KKT point; rel. 1 + ||f||, 1 + ||lam||
 GENERATOR_APEX = 1e-8  # a sampled direction's block is at its apex; abs.; item 8
-CRITICAL_DIRECTION_TOL = 1e-9  # unit w: G J w <= it (abs.), J w in K (rel.)
+CRITICAL_DIRECTION_TOL = 1e-9  # a unit w is critical: G J w <= it (abs.), J w in K (rel.)
 SRCQ_SAMPLED_POLAR = 1e-9  # a sampled unit u is in the polar of K; abs.; item 8
 RAY_CONE_TOL = 1e-12  # a sampled ray's A d is in the cone; rel. 1 + ||A d||
 ORACLE_FEAS_EPS = 2e-15  # the quotient oracle; rel. each coordinate's terms
