@@ -616,7 +616,7 @@ def _pattern_solutions(p: ProblemSpec, z: KKTPair, v, w):
         x, lam, res = _newton_perturbed(p, x0, lam0, v, w, active)
         i = np.flatnonzero(res <= PROBE_PATTERN_TOL)
         kkt = _perturbed_kkt(p, x[i], lam[i], v[i], w[i])
-        slack = PROBE_SIGN_SLACK * (1.0 + row_norms(lam[i]))[:, None]  # cones.pattern_signs_ok's signs
+        slack = PROBE_SIGN_SLACK * (1.0 + row_norms(lam[i]))[:, None]  # the signs of cones.pattern_signs_ok
         i = i[~np.any(lam[i][:, orth_active] > slack, axis=1)
               & ~np.any(kkt[1][:, inactive] < -slack, axis=1)
               & (_perturbed_residual(p, x[i], lam[i], v[i], w[i], kkt) <= PROBE_RESIDUAL)]
